@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark suite.
 
 Every paper table/figure has a benchmark that regenerates it at the SMALL
-experiment scale (see DESIGN.md §6); the regenerated rows are also written
-to ``benchmarks/results/`` so the numbers that back EXPERIMENTS.md can be
-re-inspected after a run.
+experiment scale (see ``repro.experiments.config``); the regenerated rows
+are also written to ``benchmarks/results/`` so the numbers quoted in the
+README's Performance section can be re-inspected after a run.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for DR-Cell design choices (DESIGN.md §7).
+"""Ablation benchmarks for DR-Cell design choices.
 
 Two ablations of the design choices the paper motivates but does not sweep:
 

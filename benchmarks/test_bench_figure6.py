@@ -7,7 +7,7 @@ cycle for the temperature (Sensor-Scope) and PM2.5 (U-Air) tasks under
 The expected *shape* (paper): DR-Cell selects the fewest cells, and a higher
 p requires more cells for every policy.  Absolute values differ from the
 paper because the datasets are synthetic substitutes and the scale is
-reduced; EXPERIMENTS.md records the measured numbers.
+reduced; ``benchmarks/results/figure6.json`` records the measured numbers.
 """
 
 import pytest

@@ -14,20 +14,13 @@ training run).  Those are too slow for the default suite: they re-measure
 only when ``TIMING_BENCH_SCALES`` lists them (e.g.
 ``TIMING_BENCH_SCALES=medium,full``); otherwise the previously published
 rows are carried over from the checked-in ``timing.json``.
-
-``test_bench_als_backends`` times the ALS completion kernel itself, once
-per registered execution backend (see :mod:`repro.inference.backends`), on
-synthetic low-rank matrices, and asserts the vectorized-grouped backend's
-headline claim: ≥2× the per-row baseline on medium-scale (city-sized)
-matrices.  ``ALS_BENCH_SMOKE=1`` shrinks the matrices for CI smoke runs
-(the speedup assertion is skipped there — tiny matrices are overhead-bound).
 """
 
 import json
 import os
 
 from repro.experiments.config import FULL_SCALE, MEDIUM_SCALE, SMALL_SCALE
-from repro.experiments.timing import ALS_BENCH_SIZES, run_als_backends, run_timing
+from repro.experiments.timing import run_timing
 
 from benchmarks.conftest import RESULTS_DIR, write_result
 
@@ -103,24 +96,3 @@ def test_bench_training_time(benchmark):
     assert vectorized.total_steps > 0
     assert fused.total_steps > 0
 
-
-def test_bench_als_backends():
-    smoke = os.environ.get("ALS_BENCH_SMOKE", "") not in ("", "0")
-    sizes = (
-        {"small": (40, 12), "medium": (120, 16)} if smoke else dict(ALS_BENCH_SIZES)
-    )
-    rows = run_als_backends(sizes, iterations=10, seed=0)
-    write_result("als_backends", rows)
-
-    by_key = {(row["backend"], row["size"]): row for row in rows}
-    # Every registered backend produced a row per size, anchored by numpy.
-    assert ("numpy", "medium") in by_key
-    assert ("numpy_grouped", "medium") in by_key
-    # The grouped backend tracks the baseline numerically everywhere.
-    for row in rows:
-        if row["backend"] == "numpy_grouped":
-            assert row["max_abs_diff_vs_numpy"] <= 1e-10
-    if not smoke:
-        # The headline perf claim: ≥2× the per-row baseline on city-scale
-        # matrices (it measures ~4× here; 2 leaves slack for noisy CI boxes).
-        assert by_key[("numpy_grouped", "medium")]["speedup_vs_numpy"] >= 2.0

@@ -46,6 +46,7 @@ from repro.core.config import DRCellConfig
 from repro.core.drcell import DRCellAgent
 from repro.core.trainer import DRCellTrainer, TrainingReport
 from repro.datasets.base import SensingDataset
+from repro.inference.backends.base import SolverStats
 from repro.inference.base import InferenceAlgorithm
 from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.policies import CellSelectionPolicy
@@ -173,14 +174,6 @@ class _Slot:
     @property
     def name(self) -> str:
         return self.spec.name
-
-
-class _AggregatedSolverStats:
-    """Attribute view over summed ALS solver counters (duck-typed for obs)."""
-
-    def __init__(self, counters: Mapping[str, int]) -> None:
-        for attr in ("solves", "matrices", "sweeps_run", "sweeps_saved", "sharded_solves"):
-            setattr(self, attr, int(counters.get(attr, 0)))
 
 
 def _accepted_parameters(factory: Callable[..., Any]) -> set:
@@ -586,14 +579,13 @@ class Session:
         return report, server.stats
 
     def _observe_solvers(self, obs: "Observability") -> None:
-        """Mirror the slots' ALS solver counters into ``obs``, summed per backend.
+        """Mirror the slots' ALS solver counters into ``obs``, summed.
 
         Slots may share inference instances (scenario-level components) or
-        pin their own; distinct instances carrying the same backend label
-        are aggregated so the mirrored ``repro_als_*`` totals count each
-        instance's work exactly once.
+        pin their own; each distinct instance's counters are added once, so
+        the mirrored ``repro_als_*`` totals count its work exactly once.
         """
-        totals: Dict[str, Dict[str, int]] = {}
+        total = SolverStats()
         seen: set = set()
         for slot in self.slots:
             inference = slot.inference
@@ -601,12 +593,10 @@ class Session:
             if stats is None or id(inference) in seen:
                 continue
             seen.add(id(inference))
-            backend = str(getattr(inference, "backend", "numpy"))
-            bucket = totals.setdefault(backend, {})
             for attr, value in stats.as_dict().items():
-                bucket[attr] = bucket.get(attr, 0) + int(value)
-        for backend, counters in sorted(totals.items()):
-            obs.observe_solver(_AggregatedSolverStats(counters), backend=backend)
+                setattr(total, attr, getattr(total, attr) + int(value))
+        if seen:
+            obs.observe_solver(total)
 
     def _serve_knobs(
         self, server: "DecisionServer", *, n_cycles: Optional[int], replicas: int

@@ -6,28 +6,16 @@ training is an offline process.  This experiment measures the analogous
 quantity for this reproduction: the wall-clock time of the NumPy DRQN
 training loop at a given experiment scale, together with throughput numbers
 that make it easy to extrapolate to larger scales.
-
-:func:`run_als_backends` complements the end-to-end number with a
-microbenchmark of the ALS completion kernel itself: one synthetic low-rank
-matrix per size class, completed once per registered execution backend
-(:mod:`repro.inference.backends`), reporting wall-clock time, speedup over
-the ``numpy`` baseline, and the maximum deviation from the baseline's
-result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.trainer import DRCellTrainer
 from repro.experiments.config import ExperimentScale, SMALL_SCALE
-from repro.inference.backends import available_backends
-from repro.inference.compressive import CompressiveSensingInference
 from repro.quality.epsilon_p import QualityRequirement
-from repro.utils.timing import monotonic
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,6 @@ def run_timing(
     vector_envs: int = 1,
     fused: bool = False,
     episodes: Optional[int] = None,
-    als_backend: Optional[str] = None,
 ) -> TimingResult:
     """Measure DR-Cell training wall-clock time on the temperature task.
 
@@ -97,10 +84,6 @@ def run_timing(
         Training-episode override.  Defaults to the scale's episode budget,
         raised to ``vector_envs`` when vectorized so every environment has
         at least one episode of work.
-    als_backend:
-        ALS execution backend for the quality-check inference (a
-        :data:`repro.inference.backends.BACKENDS` key); ``None`` keeps the
-        default resolution.
     """
     scale = scale or SMALL_SCALE
     dataset = scale.sensorscope_dataset("temperature", seed=seed)
@@ -113,9 +96,7 @@ def run_timing(
         config = replace(
             config, vector_envs=vector_envs, fused_learning=fused, episodes=episodes
         )
-    trainer = DRCellTrainer(
-        config, inference=scale.inference(seed=seed, backend=als_backend)
-    )
+    trainer = DRCellTrainer(config, inference=scale.inference(seed=seed))
     _, report = trainer.train(train_set, requirement)
     return TimingResult(
         scale=scale.name,
@@ -128,105 +109,3 @@ def run_timing(
         fused=fused,
     )
 
-
-# -- ALS backend microbenchmark ------------------------------------------------
-
-#: Default size classes: (n_cells, n_cycles) of the synthetic low-rank
-#: matrices.  ``medium`` is the city-scale shape the grouped backend is
-#: expected to win on by ≥2×; ``full`` approaches the paper's largest grids.
-ALS_BENCH_SIZES: Mapping[str, Tuple[int, int]] = {
-    "small": (200, 48),
-    "medium": (2000, 48),
-    "full": (6000, 96),
-}
-
-
-def synthetic_low_rank(
-    n_cells: int,
-    n_cycles: int,
-    *,
-    rank: int = 3,
-    missing: float = 0.6,
-    noise: float = 0.05,
-    seed: int = 0,
-) -> np.ndarray:
-    """A partially observed synthetic low-rank matrix (``NaN`` = missing).
-
-    Built as ``U Vᵀ`` plus Gaussian noise with a uniform random missing
-    pattern — the shape class the completion kernel is designed for, without
-    dragging a whole dataset generator into the microbenchmark.
-    """
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((n_cells, rank))
-    V = rng.standard_normal((n_cycles, rank))
-    data = U @ V.T + noise * rng.standard_normal((n_cells, n_cycles))
-    mask = rng.random((n_cells, n_cycles)) < missing
-    if mask.all(axis=1).any():  # every row keeps at least one observation
-        forced = rng.integers(0, n_cycles, size=n_cells)
-        mask[np.arange(n_cells), forced] = False
-    return np.where(mask, np.nan, data)
-
-
-def run_als_backends(
-    sizes: Optional[Mapping[str, Tuple[int, int]]] = None,
-    *,
-    backends: Optional[Sequence[str]] = None,
-    iterations: int = 10,
-    rank: int = 3,
-    missing: float = 0.6,
-    seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Time every ALS execution backend on synthetic low-rank matrices.
-
-    For each size class one partially observed matrix is generated, then
-    completed once per backend with identical hyper-parameters and the same
-    frozen initialisation seed, so the runs are directly comparable.  Each
-    row reports the wall-clock seconds, the speedup over the ``numpy``
-    baseline at the same size, and the maximum absolute deviation from the
-    baseline's completion (0.0 for bit-exact backends).
-
-    ``backends`` defaults to every *registered* backend — optional backends
-    whose dependency is missing are silently absent, so the benchmark runs
-    everywhere.
-    """
-    sizes = dict(sizes if sizes is not None else ALS_BENCH_SIZES)
-    names = list(backends) if backends is not None else list(available_backends())
-    if "numpy" in names:  # the baseline anchors the speedup column
-        names.remove("numpy")
-    names.insert(0, "numpy")
-
-    rows: List[Dict[str, object]] = []
-    for size_name, (n_cells, n_cycles) in sizes.items():
-        observed = synthetic_low_rank(
-            n_cells, n_cycles, rank=rank, missing=missing, seed=seed
-        )
-        baseline_seconds = None
-        baseline_result = None
-        for backend in names:
-            inference = CompressiveSensingInference(
-                rank=rank, iterations=iterations, seed=seed, backend=backend
-            )
-            start = monotonic()
-            completed = inference.complete(observed)
-            elapsed = monotonic() - start
-            if backend == "numpy":
-                baseline_seconds, baseline_result = elapsed, completed
-            rows.append(
-                {
-                    "backend": backend,
-                    "size": size_name,
-                    "n_cells": n_cells,
-                    "n_cycles": n_cycles,
-                    "iterations": iterations,
-                    "wall_clock_seconds": round(elapsed, 4),
-                    "speedup_vs_numpy": round(baseline_seconds / elapsed, 2)
-                    if baseline_seconds
-                    else 1.0,
-                    "max_abs_diff_vs_numpy": float(
-                        np.abs(completed - baseline_result).max()
-                    )
-                    if baseline_result is not None
-                    else 0.0,
-                }
-            )
-    return rows

@@ -1,101 +1,16 @@
-"""Pluggable execution backends for the ALS completion kernel.
+"""The ALS kernels behind :class:`~repro.inference.compressive.CompressiveSensingInference`.
 
-The :data:`BACKENDS` registry maps string keys to :class:`~repro.inference.
-backends.base.ALSBackend` implementations, mirroring the conventions of
-:mod:`repro.api.registry` (same :class:`~repro.api.registry.Registry` class,
-decorator registration, lazy bootstrap of the built-in modules).  Built-in
-keys:
-
-* ``numpy`` — the bit-exact per-row-loop baseline (default).
-* ``numpy_grouped`` — rows bucketed by observation count, each bucket
-  solved as one stacked gufunc call; ≥2× the baseline on city-scale
-  matrices, within float rounding of it numerically.
-* ``numba`` — JIT-compiled sweep loop; registered only when :mod:`numba`
-  imports.
-* ``torch`` — dense masked-einsum sweeps on CPU or GPU; registered only
-  when :mod:`torch` imports.
-
-Selection precedence is **environment > spec > default**: the
-``REPRO_ALS_BACKEND`` environment variable (when set and non-empty)
-overrides everything, then the ``backend=`` constructor argument /
-``InferenceSpec`` param, then :data:`DEFAULT_BACKEND`.  Resolution happens
-at :class:`~repro.inference.compressive.CompressiveSensingInference`
-construction time, so an instance's backend is frozen into its configuration
-(and hence into completion-cache fingerprints).
+* :func:`repro.inference.backends.grouped.solve` — the single-matrix
+  paper-protocol sweep (rows bucketed by observation count, one stacked
+  gufunc solve per bucket; sequential Gauss–Seidel cycle half-step).
+* :func:`repro.inference.backends.base.solve_stacked` — the Jacobi batched
+  sweep of ``complete_batch``.
+* :class:`~repro.inference.backends.base.SolverStats` — the solver's
+  telemetry counters.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
+from repro.inference.backends.base import SolverStats
 
-from repro.api.registry import Registry
-
-from repro.inference.backends.base import (
-    ALSBackend,
-    ALSProblem,
-    SolverStats,
-    StackedALSProblem,
-)
-
-__all__ = [
-    "ALSBackend",
-    "ALSProblem",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "ENV_BACKEND_VAR",
-    "SolverStats",
-    "StackedALSProblem",
-    "available_backends",
-    "get_backend",
-    "resolve_backend_name",
-]
-
-#: Backend used when neither the environment nor the spec picks one.
-DEFAULT_BACKEND = "numpy"
-
-#: Environment variable that overrides every other selection mechanism.
-ENV_BACKEND_VAR = "REPRO_ALS_BACKEND"
-
-#: ALS execution backends: ``factory() -> ALSBackend``.  The optional
-#: backends' modules import cleanly without their dependency — they simply
-#: skip registration — so bootstrapping never raises on a minimal install.
-BACKENDS = Registry(
-    "ALS backend",
-    bootstrap_modules=(
-        "repro.inference.backends.numpy_backend",
-        "repro.inference.backends.grouped",
-        "repro.inference.backends.numba_backend",
-        "repro.inference.backends.torch_backend",
-    ),
-)
-
-_instances: Dict[str, ALSBackend] = {}
-
-
-def resolve_backend_name(requested: Optional[str] = None) -> str:
-    """Resolve a backend key with env > requested > default precedence.
-
-    Raises :class:`~repro.api.registry.UnknownComponentError` (listing the
-    keys that *are* registered, which excludes optional backends whose
-    dependency is missing) when the winning name is not available.
-    """
-    env = os.environ.get(ENV_BACKEND_VAR, "").strip()
-    name = env or requested or DEFAULT_BACKEND
-    BACKENDS.entry(name)  # validates; raises with the available keys
-    return name
-
-
-def get_backend(name: str) -> ALSBackend:
-    """The (singleton) backend instance registered under ``name``."""
-    if name not in _instances:
-        _instances[name] = BACKENDS.create(name)
-    return _instances[name]
-
-
-def available_backends() -> Dict[str, str]:
-    """Registered backend keys mapped to their one-line descriptions."""
-    return {
-        name: str(BACKENDS.metadata(name).get("description", ""))
-        for name in BACKENDS.names()
-    }
+__all__ = ["SolverStats"]

@@ -17,15 +17,11 @@ consecutive cycles' latent factors, which is what makes selections spread
 over time (paper Figure 1, case 2.2) more informative than repeatedly
 sensing the same cells.
 
-The sweep inner loops — the hot kernels of the whole system — execute
-behind the pluggable :mod:`repro.inference.backends` layer: this class owns
-normalisation, initialisation, width bucketing and post-conditions, while
-the registered backend (``numpy`` baseline, ``numpy_grouped``, optional
-``numba``/``torch``) runs the sweeps.  Selection precedence is the
-``REPRO_ALS_BACKEND`` environment variable, then the ``backend=``
-constructor argument (an ``InferenceSpec`` param in declarative scenarios),
-then the ``numpy`` default, which stays bit-exact with the pre-backend
-kernel.
+This class owns normalisation, initialisation, width bucketing and
+post-conditions; the sweep inner loops — the hot kernels of the whole
+system — live in :mod:`repro.inference.backends`: the grouped single-matrix
+kernel behind :meth:`complete` and the stacked Jacobi kernel behind
+:meth:`complete_batch`.
 """
 
 from __future__ import annotations
@@ -36,20 +32,15 @@ import numpy as np
 
 from repro.api.registry import INFERENCE
 
-from repro.inference.backends import (
-    ALSProblem,
-    SolverStats,
-    StackedALSProblem,
-    get_backend,
-    resolve_backend_name,
-)
+from repro.inference.backends import grouped
+from repro.inference.backends.base import SolverStats, solve_stacked
 from repro.inference.base import ColumnMeanFallbackMixin, InferenceAlgorithm, observed_mask
 from repro.obs.profile import phase
 from repro.utils.seeding import RngLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive_int
 
 
-@INFERENCE.register("als", seed_stream=5, backend_registry="repro.inference.backends")
+@INFERENCE.register("als", seed_stream=5)
 class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
     """ALS low-rank matrix completion with optional temporal smoothness.
 
@@ -66,28 +57,12 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         Number of ALS sweeps (the budget; see ``tolerance``).
     seed:
         Seed or generator for factor initialisation.
-    backend:
-        Execution-backend key from :data:`repro.inference.backends.BACKENDS`
-        (``numpy``, ``numpy_grouped``, and — when their dependency is
-        installed — ``numba`` / ``torch``).  The ``REPRO_ALS_BACKEND``
-        environment variable overrides this; unset, the bit-exact ``numpy``
-        baseline is used.
     tolerance:
         Convergence early-exit: stop sweeping once the RMS change of the
         (normalised-domain) factors falls below this value.  The default 0
         disables the check entirely, preserving bit-exactness with the
         fixed-budget protocol; saved sweeps are counted in
         :attr:`solver_stats`.
-    shard_rows:
-        Block-sharded completion: bound the number of rows whose cell
-        half-step intermediates are materialised at once.  The cycle
-        factors are still solved from every block's contribution (a shared
-        cycle-factor solve), so sharding changes peak memory, not the
-        optimisation problem.  ``None`` (default) solves densely.
-    shard_overlap:
-        Boundary rows shared by consecutive row blocks (re-solved in both;
-        the cell half-step holds the cycle factors fixed, so the duplicate
-        solves are identical).  Must be smaller than ``shard_rows``.
     """
 
     name = "compressive_sensing"
@@ -100,30 +75,13 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         iterations: int = 15,
         *,
         seed: RngLike = None,
-        backend: Optional[str] = None,
         tolerance: float = 0.0,
-        shard_rows: Optional[int] = None,
-        shard_overlap: int = 0,
     ) -> None:
         self.rank = check_positive_int(rank, "rank")
         self.regularization = check_non_negative(regularization, "regularization")
         self.temporal_weight = check_non_negative(temporal_weight, "temporal_weight")
         self.iterations = check_positive_int(iterations, "iterations")
-        # Resolved once, here: the backend is part of this instance's frozen
-        # configuration (hence of completion-cache fingerprints and pooling
-        # equivalence) — numerically different backends must never share
-        # cached completions.
-        self.backend = resolve_backend_name(backend)
         self.tolerance = check_non_negative(tolerance, "tolerance")
-        self.shard_rows = (
-            None if shard_rows is None else check_positive_int(shard_rows, "shard_rows")
-        )
-        self.shard_overlap = int(check_non_negative(shard_overlap, "shard_overlap"))
-        if self.shard_rows is not None and self.shard_overlap >= self.shard_rows:
-            raise ValueError(
-                f"shard_overlap ({self.shard_overlap}) must be smaller than "
-                f"shard_rows ({self.shard_rows})"
-            )
         # Telemetry only — excluded from fingerprints and equivalence checks.
         self.solver_stats = SolverStats()
         # Freeze the initialisation seed so that repeated `complete` calls on
@@ -143,28 +101,20 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         normalised = np.where(mask, (matrix - mean) / scale, 0.0)
 
         init_rng = np.random.default_rng(self._init_seed)
-        problem = ALSProblem(
-            normalised=normalised,
-            mask=mask,
-            cell_init=0.1 * init_rng.standard_normal((n_cells, rank)),
-            cycle_init=0.1 * init_rng.standard_normal((n_cycles, rank)),
-            regularization=self.regularization,
-            mu=self.temporal_weight,
-            iterations=self.iterations,
-            tolerance=self.tolerance,
-            shard_rows=self.shard_rows,
-            shard_overlap=self.shard_overlap,
-        )
+        cell_init = 0.1 * init_rng.standard_normal((n_cells, rank))
+        cycle_init = 0.1 * init_rng.standard_normal((n_cycles, rank))
         with phase("als.solve"):
-            cell_factors, cycle_factors, sweeps_run = get_backend(self.backend).solve(
-                problem
+            cell_factors, cycle_factors, sweeps_run = grouped.solve(
+                normalised,
+                mask,
+                cell_init,
+                cycle_init,
+                regularization=self.regularization,
+                mu=self.temporal_weight,
+                iterations=self.iterations,
+                tolerance=self.tolerance,
             )
-        self.solver_stats.record(
-            matrices=1,
-            sweeps_run=sweeps_run,
-            budget=self.iterations,
-            sharded=self.shard_rows is not None and n_cells > self.shard_rows,
-        )
+        self.solver_stats.record(matrices=1, sweeps_run=sweeps_run, budget=self.iterations)
         completed = cell_factors @ cycle_factors.T
         return completed * scale + mean
 
@@ -278,10 +228,10 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
         objective (padded columns contribute only zero terms; see
         :meth:`complete_batch` for the resulting ~1e-15 rounding caveat).
 
-        The sweep loop itself runs through the active backend's
-        ``solve_stacked`` (all built-in backends share the NumPy Jacobi
-        implementation); this method owns normalisation, degenerate-slot
-        short-circuiting and the width-gating setup.
+        The sweep loop itself runs in
+        :func:`~repro.inference.backends.base.solve_stacked`; this method
+        owns normalisation, degenerate-slot short-circuiting and the
+        width-gating setup.
         """
         n_batch, n_cells, n_cycles = data.shape
         rank = min(self.rank, n_cells, n_cycles)
@@ -343,29 +293,22 @@ class CompressiveSensingInference(ColumnMeanFallbackMixin, InferenceAlgorithm):
                 ..., None
             ]
 
-        problem = StackedALSProblem(
-            normalised=normalised,
-            maskf=maskf,
-            cell_init=U,
-            cycle_init=V,
-            regularization=self.regularization,
-            mu=mu,
-            iterations=self.iterations,
-            row_has_obs=row_has_obs,
-            col_update=col_update,
-            smooth=smooth,
-            left_gate=left_gate,
-            right_gate=right_gate,
-            tolerance=self.tolerance,
-            shard_rows=self.shard_rows,
-        )
         with phase("als.solve_stacked"):
-            U, V, sweeps_run = get_backend(self.backend).solve_stacked(problem)
-        self.solver_stats.record(
-            matrices=n_batch,
-            sweeps_run=sweeps_run,
-            budget=self.iterations,
-            sharded=self.shard_rows is not None and n_cells > self.shard_rows,
-        )
+            U, V, sweeps_run = solve_stacked(
+                normalised,
+                maskf,
+                U,
+                V,
+                regularization=self.regularization,
+                mu=mu,
+                iterations=self.iterations,
+                tolerance=self.tolerance,
+                row_has_obs=row_has_obs,
+                col_update=col_update,
+                smooth=smooth,
+                left_gate=left_gate,
+                right_gate=right_gate,
+            )
+        self.solver_stats.record(matrices=n_batch, sweeps_run=sweeps_run, budget=self.iterations)
         completed = U @ V.transpose(0, 2, 1)
         return completed * scales[:, None, None] + means[:, None, None]

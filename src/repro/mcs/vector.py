@@ -77,9 +77,8 @@ class BatchedSparseMCSVectorEnv(VectorEnv):
         Environments built from one config carry separately seeded instances
         of the same solver; those batch fine (the batched solver uses one
         initialisation anyway).  Different types or hyper-parameters do not —
-        nor do different execution backends or convergence/sharding knobs,
-        which can be numerically different and must not pool into one
-        stacked solve.
+        nor do different convergence tolerances, which are numerically
+        different and must not pool into one stacked solve.
         """
         if a is b:
             return True
@@ -90,10 +89,7 @@ class BatchedSparseMCSVectorEnv(VectorEnv):
             "regularization",
             "temporal_weight",
             "iterations",
-            "backend",
             "tolerance",
-            "shard_rows",
-            "shard_overlap",
         )
         return all(
             getattr(a, name, None) == getattr(b, name, None) for name in solver_params

@@ -121,9 +121,9 @@ class Observability:
         """Mirror a :class:`ServerStats` (and its learners) into the registry."""
         ingest_server_stats(self.registry, stats)
 
-    def observe_solver(self, solver_stats: Any, *, backend: str = "numpy") -> None:
+    def observe_solver(self, solver_stats: Any) -> None:
         """Mirror a :class:`SolverStats` into the registry."""
-        ingest_solver_stats(self.registry, solver_stats, backend=backend)
+        ingest_solver_stats(self.registry, solver_stats)
 
     def observe_learner(self, telemetry: Any, *, learner: str = "learner-0") -> None:
         """Mirror one learner telemetry snapshot into the registry."""

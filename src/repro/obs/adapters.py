@@ -171,34 +171,25 @@ def server_stats_metrics(stats: Any) -> Dict[str, object]:
 # -- ALS -------------------------------------------------------------------------
 
 _ALS_COUNTERS = {
-    "solves": ("repro_als_solves_total", "Backend solve calls"),
+    "solves": ("repro_als_solves_total", "ALS kernel solve calls"),
     "matrices": ("repro_als_matrices_total", "Matrices completed"),
     "sweeps_run": ("repro_als_sweeps_run_total", "ALS sweeps executed"),
     "sweeps_saved": (
         "repro_als_sweeps_saved_total",
         "Budgeted sweeps skipped by convergence early-exit",
     ),
-    "sharded_solves": ("repro_als_sharded_solves_total", "Row-block sharded solves"),
 }
 
 
-def ingest_solver_stats(
-    registry: MetricsRegistry, solver_stats: Any, *, backend: str = "numpy"
-) -> None:
+def ingest_solver_stats(registry: MetricsRegistry, solver_stats: Any) -> None:
     """Mirror a :class:`~repro.inference.backends.base.SolverStats` into ``repro_als_*``."""
     for attr, (name, help_text) in _ALS_COUNTERS.items():
-        registry.counter(name, help_text).set_total(
-            getattr(solver_stats, attr), backend=backend
-        )
+        registry.counter(name, help_text).set_total(getattr(solver_stats, attr))
 
 
-def solver_stats_metrics(solver_stats: Any, *, backend: Optional[str] = None) -> Dict[str, object]:
+def solver_stats_metrics(solver_stats: Any) -> Dict[str, object]:
     """The flat ``repro_als_*`` sample view of a :class:`SolverStats`."""
-    labels = {} if backend is None else {"backend": backend}
-    return {
-        _sample_name(name, **labels): getattr(solver_stats, attr)
-        for attr, (name, _) in _ALS_COUNTERS.items()
-    }
+    return {name: getattr(solver_stats, attr) for attr, (name, _) in _ALS_COUNTERS.items()}
 
 
 # -- learner ---------------------------------------------------------------------

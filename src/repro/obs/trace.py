@@ -10,7 +10,7 @@ A :class:`Tracer` attached to a :class:`~repro.serve.server.DecisionServer`
   plus fused service time;
 * a **batch span** wraps each :meth:`DecisionServer._flush_one_batch`
   handler invocation — endpoint fusion, :class:`~repro.serve.cache.
-  CompletionCache` lookups, and the backend solve all happen inside it.
+  CompletionCache` lookups, and the ALS solve all happen inside it.
   The server annotates it with the flush trigger, the logical tick, and the
   cache hit/miss delta the handler produced;
 * every request span records its batch span as ``args.parent`` — batch

@@ -63,8 +63,8 @@ def inference_fingerprint(inference: InferenceAlgorithm) -> str:
     what the algorithm computes); array attributes (e.g. KNN coordinates)
     are hashed by content.  Instances with equal configuration therefore
     share completions, while any attribute difference — including a frozen
-    initialisation seed or the execution *backend* (numerically different
-    backends must not cross-serve completions) — keeps them apart.
+    initialisation seed or a convergence ``tolerance`` (numerically
+    different solvers must not cross-serve completions) — keeps them apart.
     """
     parts = [f"{type(inference).__module__}.{type(inference).__qualname__}"]
     for key in sorted(vars(inference)):

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.api.cli import constrain_to_scale, load_spec, main, override_als_backend
-from repro.api.registry import UnknownComponentError
+from repro.api.cli import constrain_to_scale, load_spec, main
 from repro.api.specs import ScenarioSpec
 from repro.experiments.config import TINY_SCALE
 
@@ -24,7 +23,6 @@ class TestCommands:
         assert main(["components"]) == 0
         out = capsys.readouterr().out
         assert "sensorscope" in out and "als" in out and "drcell" in out
-        assert "als backends:" in out and "numpy_grouped" in out
 
     def test_run_tiny_scenario(self, tiny_scenario_path, tmp_path, capsys):
         save_dir = tmp_path / "saved"
@@ -87,45 +85,6 @@ class TestSlotLevelScaleConstraint:
         for slot in constrained.slots:
             assert slot.inference.params["iterations"] <= TINY_SCALE.als_iterations
             assert slot.assessor.params["max_loo_cells"] <= TINY_SCALE.max_loo_cells
-
-
-class TestALSBackendOverride:
-    def test_backend_pinned_everywhere(self, tiny_scenario_path):
-        import dataclasses
-
-        from repro.api.specs import InferenceSpec
-
-        spec = load_spec(tiny_scenario_path)
-        spec = spec.replace(
-            slots=tuple(
-                dataclasses.replace(slot, inference=InferenceSpec("als", {}))
-                for slot in spec.slots
-            )
-        )
-        pinned = override_als_backend(spec, "numpy_grouped")
-        assert pinned.inference.params["backend"] == "numpy_grouped"
-        for slot in pinned.slots:
-            assert slot.inference.params["backend"] == "numpy_grouped"
-        # Non-ALS components are untouched and the spec still round-trips.
-        assert ScenarioSpec.from_json(pinned.to_json()) == pinned
-
-    def test_unknown_backend_fails_fast(self, tiny_scenario_path):
-        with pytest.raises(UnknownComponentError):
-            override_als_backend(load_spec(tiny_scenario_path), "cuda-quantum")
-
-    def test_run_with_backend_flag(self, tiny_scenario_path, capsys):
-        code = main(
-            [
-                "run",
-                str(tiny_scenario_path),
-                "--scale",
-                "tiny",
-                "--als-backend",
-                "numpy_grouped",
-            ]
-        )
-        assert code == 0
-        assert "evaluation" in capsys.readouterr().out
 
 
 class TestServeCommand:

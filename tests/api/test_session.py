@@ -13,6 +13,7 @@ from repro.api.registry import UnknownComponentError
 from repro.api.session import Session
 from repro.api.specs import (
     DatasetSpec,
+    InferenceSpec,
     PolicySpec,
     RequirementSpec,
     ScenarioSpec,
@@ -202,6 +203,17 @@ class TestSessionMechanics:
             ),
         )
         with pytest.raises(UnknownComponentError):
+            Session.from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "key,value", [("backend", "numpy_grouped"), ("shard_rows", 4)]
+    )
+    def test_removed_als_params_fail_at_construction(self, tiny_spec, key, value):
+        # The ALS kernel has no backend choice and no row sharding; a spec
+        # still carrying either knob must fail loudly, naming the key.
+        params = {**tiny_spec.inference.params, key: value}
+        spec = tiny_spec.replace(inference=InferenceSpec("als", params))
+        with pytest.raises(TypeError, match=key):
             Session.from_spec(spec)
 
     def test_untrained_drcell_slot_fails_evaluation_with_hint(self, tiny_spec):

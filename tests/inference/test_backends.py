@@ -1,31 +1,23 @@
-"""Tests for the pluggable ALS execution-backend layer.
+"""Tests for the ALS completion kernels.
 
-Three guarantees are pinned here:
+Two guarantees are pinned here:
 
-* **Bit-exactness** — the default ``numpy`` backend reproduces the pre-backend
-  kernel bit for bit, asserted against golden outputs generated *before* the
-  refactor (``tests/inference/data/als_golden.npz``).
-* **Parity** — the vectorized-grouped backend, block sharding, and the
-  optional ``numba``/``torch`` backends track the baseline within their
-  documented tolerances.
-* **Isolation** — backend identity is part of an instance's configuration:
-  completion-cache fingerprints and batched-pooling equivalence both keep
-  numerically different backends apart.
+* **Bit-exactness** — the grouped single-matrix kernel and the stacked
+  ``complete_batch`` kernel reproduce committed golden outputs bit for bit
+  (``tests/inference/data/als_golden.npz``).  ``observed`` / ``single`` /
+  ``batch_*`` date from before the kernels were split out of
+  :class:`CompressiveSensingInference`; the ``missing_*``,
+  ``unobserved_row_*`` and ``mu0_*`` keys were generated by the earlier
+  per-row kernel (one Python loop over rows in the cell half-step) before it
+  was deleted.
+* **Isolation** — the convergence ``tolerance`` is part of an instance's
+  configuration: completion-cache fingerprints and batched-pooling
+  equivalence both keep numerically different solvers apart.
 """
 
 import numpy as np
 import pytest
 
-from repro.api.registry import INFERENCE, UnknownComponentError
-from repro.inference.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_BACKEND_VAR,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-)
-from repro.inference.backends.base import row_blocks
 from repro.inference.backends.grouped import bucket_rows
 from repro.inference.compressive import CompressiveSensingInference
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
@@ -49,7 +41,7 @@ def make_inference(**kwargs):
 
 
 class TestGoldenBitExactness:
-    """The default backend is bit-for-bit the pre-backend kernel."""
+    """Both kernels are bit-for-bit the committed golden outputs."""
 
     def test_complete_matches_pre_refactor_golden(self, golden):
         completed = make_inference().complete(golden["observed"])
@@ -63,72 +55,36 @@ class TestGoldenBitExactness:
 
     def test_zero_tolerance_and_no_sharding_are_the_defaults(self):
         inference = make_inference()
-        assert inference.backend == DEFAULT_BACKEND
         assert inference.tolerance == 0.0
-        assert inference.shard_rows is None
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "numpy_grouped" in names
-        for description in names.values():
-            assert description  # every backend documents itself
-
-    def test_unknown_backend_fails_fast_with_available_keys(self):
-        with pytest.raises(UnknownComponentError) as excinfo:
-            make_inference(backend="no-such-backend")
-        assert "numpy" in str(excinfo.value)
-
-    def test_backend_instances_are_singletons(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_resolution_precedence_env_over_arg_over_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-        assert resolve_backend_name() == DEFAULT_BACKEND
-        assert resolve_backend_name("numpy_grouped") == "numpy_grouped"
-        monkeypatch.setenv(ENV_BACKEND_VAR, "numpy")
-        assert resolve_backend_name("numpy_grouped") == "numpy"
-
-    def test_env_override_applies_at_construction(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "numpy_grouped")
-        inference = make_inference(backend="numpy")
-        assert inference.backend == "numpy_grouped"
-        # Resolution is frozen at construction: clearing the variable later
-        # does not change an existing instance.
-        monkeypatch.delenv(ENV_BACKEND_VAR)
-        assert inference.backend == "numpy_grouped"
-
-    def test_spec_params_reach_the_backend(self):
-        inference = INFERENCE.create("als", backend="numpy_grouped", tolerance=1e-2)
-        assert inference.backend == "numpy_grouped"
-        assert inference.tolerance == 1e-2
+        assert not hasattr(inference, "shard_rows")
 
 
 class TestGroupedParity:
-    @pytest.mark.parametrize("fraction_missing", [0.2, 0.5, 0.8])
-    def test_grouped_matches_baseline(self, low_rank_matrix, rng, fraction_missing):
-        observed = mask_entries(low_rank_matrix, fraction_missing, rng)
-        baseline = make_inference().complete(observed)
-        grouped = make_inference(backend="numpy_grouped").complete(observed)
-        assert np.abs(grouped - baseline).max() <= 1e-10
+    """The grouped kernel reproduces the per-row kernel's golden outputs."""
 
-    def test_grouped_handles_unobserved_rows(self, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        observed[3, :] = np.nan  # a fully unobserved cell
-        baseline = make_inference().complete(observed)
-        grouped = make_inference(backend="numpy_grouped").complete(observed)
-        assert np.abs(grouped - baseline).max() <= 1e-10
+    @pytest.mark.parametrize("fraction_missing", [0.2, 0.5, 0.8])
+    def test_grouped_matches_baseline(self, golden, fraction_missing):
+        key = f"missing_m{int(round(fraction_missing * 100))}"
+        completed = make_inference().complete(golden[f"{key}_observed"])
+        assert np.array_equal(completed, golden[f"{key}_single"])
+
+    def test_grouped_handles_unobserved_rows(self, golden):
+        observed = golden["unobserved_row_observed"]
+        assert np.isnan(observed[3]).all()  # a fully unobserved cell
+        completed = make_inference().complete(observed)
+        assert np.array_equal(completed, golden["unobserved_row_single"])
+
+    def test_grouped_without_temporal_smoothness(self, golden):
+        completed = make_inference(temporal_weight=0.0).complete(golden["mu0_observed"])
+        assert np.array_equal(completed, golden["mu0_single"])
 
     def test_bucketing_partitions_observed_rows(self, low_rank_matrix, rng):
         observed = mask_entries(low_rank_matrix, 0.5, rng)
         mask = ~np.isnan(observed)
         normalised = np.where(mask, observed, 0.0)
-        rows = np.arange(observed.shape[0])
-        buckets = bucket_rows(mask, normalised, rows)
+        buckets = bucket_rows(mask, normalised)
         covered = np.concatenate([bucket.rows for bucket in buckets])
-        expected = rows[mask[rows].sum(axis=1) > 0]
+        expected = np.flatnonzero(mask.sum(axis=1) > 0)
         assert sorted(covered.tolist()) == sorted(expected.tolist())
         for bucket in buckets:
             # Every member of a bucket has the same observation count, and
@@ -139,50 +95,6 @@ class TestGroupedParity:
             assert np.array_equal(gathered, bucket.targets)
 
 
-class TestSharding:
-    def test_row_blocks_cover_all_rows(self):
-        blocks = row_blocks(10, 4)
-        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        overlapping = row_blocks(10, 4, 2)
-        assert overlapping[1].tolist() == [2, 3, 4, 5, 6, 7]
-        assert overlapping[2].tolist() == [6, 7, 8, 9]
-        (dense,) = row_blocks(5, None)
-        assert np.array_equal(dense, np.arange(5))
-
-    @pytest.mark.parametrize("backend", ["numpy", "numpy_grouped"])
-    @pytest.mark.parametrize("shard_rows,shard_overlap", [(5, 0), (5, 2), (4, 1)])
-    def test_sharded_matches_dense(
-        self, low_rank_matrix, rng, backend, shard_rows, shard_overlap
-    ):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        dense = make_inference(backend=backend).complete(observed)
-        sharded = make_inference(
-            backend=backend, shard_rows=shard_rows, shard_overlap=shard_overlap
-        ).complete(observed)
-        # Each slice of the stacked solve is independent and the cycle
-        # factors are fixed during the cell half-step, so sharding is exact.
-        assert np.array_equal(sharded, dense)
-
-    def test_sharded_batch_matches_dense_batch(self, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        dense = make_inference().complete_batch([observed, observed * 2.0])
-        sharded = make_inference(shard_rows=5).complete_batch(
-            [observed, observed * 2.0]
-        )
-        for got, want in zip(sharded, dense):
-            assert np.abs(got - want).max() <= 1e-12
-
-    def test_sharded_solves_counted(self, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        inference = make_inference(shard_rows=5)
-        inference.complete(observed)
-        assert inference.solver_stats.sharded_solves == 1
-
-    def test_overlap_must_be_smaller_than_block(self):
-        with pytest.raises(ValueError, match="shard_overlap"):
-            make_inference(shard_rows=4, shard_overlap=4)
-
-
 class TestConvergenceEarlyExit:
     def test_disabled_by_default_runs_full_budget(self, golden):
         inference = make_inference(iterations=30)
@@ -190,9 +102,8 @@ class TestConvergenceEarlyExit:
         assert inference.solver_stats.sweeps_run == 30
         assert inference.solver_stats.sweeps_saved == 0
 
-    @pytest.mark.parametrize("backend", ["numpy", "numpy_grouped"])
-    def test_tolerance_saves_sweeps(self, golden, backend):
-        inference = make_inference(iterations=30, tolerance=1e-2, backend=backend)
+    def test_tolerance_saves_sweeps(self, golden):
+        inference = make_inference(iterations=30, tolerance=1e-2)
         inference.complete(golden["observed"])
         stats = inference.solver_stats
         assert 0 < stats.sweeps_run < 30
@@ -223,17 +134,16 @@ class TestConvergenceEarlyExit:
             "matrices": 0,
             "sweeps_run": 0,
             "sweeps_saved": 0,
-            "sharded_solves": 0,
         }
 
 
-class TestBackendIsolation:
-    """Backend identity keeps caches and pooled batches apart."""
+class TestToleranceIsolation:
+    """The convergence tolerance keeps caches and pooled batches apart."""
 
-    def test_fingerprints_differ_by_backend(self):
-        baseline = make_inference()
-        grouped = make_inference(backend="numpy_grouped")
-        assert inference_fingerprint(baseline) != inference_fingerprint(grouped)
+    def test_fingerprints_differ_by_tolerance(self):
+        exact = make_inference()
+        early = make_inference(tolerance=1e-2)
+        assert inference_fingerprint(exact) != inference_fingerprint(early)
 
     def test_fingerprint_ignores_solver_stats(self, golden):
         inference = make_inference()
@@ -241,80 +151,27 @@ class TestBackendIsolation:
         inference.complete(golden["observed"])  # mutates the stats counters
         assert inference_fingerprint(inference) == before
 
-    def test_backends_do_not_cross_serve_cached_completions(self, golden):
+    def test_tolerances_do_not_share_cache_entries(self, golden):
         cache = CompletionCache(capacity=8)
         observed = golden["observed"]
-        baseline = CachingInference(make_inference(), cache)
-        grouped = CachingInference(make_inference(backend="numpy_grouped"), cache)
-        baseline.complete(observed)
+        exact = CachingInference(make_inference(), cache)
+        early = CachingInference(make_inference(tolerance=1e-2), cache)
+        exact.complete(observed)
         assert cache.misses == 1
-        grouped.complete(observed)
+        early.complete(observed)
         # Identical ALS hyper-parameters, same matrix — but a different
-        # backend key must miss, not reuse the baseline's entry.
+        # tolerance must miss, not reuse the fixed-budget entry.
         assert cache.misses == 2
         assert cache.hits == 0
         assert len(cache) == 2
-        # Same backend does hit.
-        baseline.complete(observed)
+        # Same configuration does hit.
+        exact.complete(observed)
         assert cache.hits == 1
 
-    def test_pooling_equivalence_requires_same_backend(self):
+    def test_pooling_requires_same_tolerance(self):
         a = make_inference()
-        b = make_inference(backend="numpy_grouped")
-        c = make_inference(tolerance=1e-2)
-        d = make_inference(shard_rows=5)
+        b = make_inference(tolerance=1e-2)
         same = make_inference(seed=99)  # different seed only — still pools
         eq = BatchedSparseMCSVectorEnv._equivalent_inference
         assert not eq(a, b)
-        assert not eq(a, c)
-        assert not eq(a, d)
         assert eq(a, same)
-
-
-class TestOptionalBackends:
-    """Parity of the numba / torch backends (skipped when not installed)."""
-
-    @pytest.fixture(params=["numba", "torch"])
-    def optional_backend(self, request):
-        pytest.importorskip(request.param)
-        if request.param not in BACKENDS:
-            pytest.skip(f"{request.param} installed but backend not registered")
-        return request.param
-
-    def test_optional_backend_parity(self, optional_backend, low_rank_matrix, rng):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        baseline = make_inference().complete(observed)
-        other = make_inference(backend=optional_backend).complete(observed)
-        # Same mathematics, different accumulation order: float-rounding
-        # differences compound over sweeps but stay far below data scale.
-        assert np.abs(other - baseline).max() <= 1e-6
-
-    def test_optional_backend_tolerance_early_exit(
-        self, optional_backend, low_rank_matrix, rng
-    ):
-        observed = mask_entries(low_rank_matrix, 0.5, rng)
-        inference = make_inference(
-            iterations=30, tolerance=1e-2, backend=optional_backend
-        )
-        inference.complete(observed)
-        assert inference.solver_stats.sweeps_run < 30
-
-    def test_optional_backend_figure6_outputs_match(self, optional_backend, monkeypatch):
-        from repro.experiments.config import TINY_SCALE
-        from repro.experiments.figure6 import run_figure6
-
-        kwargs = dict(
-            tasks=("temperature",), p_values=(0.9,), policies=("RANDOM",), seed=0
-        )
-        monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-        reference = run_figure6(TINY_SCALE, **kwargs)
-        monkeypatch.setenv(ENV_BACKEND_VAR, optional_backend)
-        other = run_figure6(TINY_SCALE, **kwargs)
-        for row_a, row_b in zip(reference.rows, other.rows):
-            assert row_a.policy == row_b.policy
-            assert row_a.mean_selected_per_cycle == pytest.approx(
-                row_b.mean_selected_per_cycle, abs=0.5
-            )
-            assert row_a.quality_satisfied_fraction == pytest.approx(
-                row_b.quality_satisfied_fraction, abs=0.25
-            )

@@ -99,26 +99,24 @@ class TestServerStatsIngestion:
 
 
 class TestSolverStatsIngestion:
-    def test_solver_counters_land_labelled_by_backend(self):
+    def test_solver_counters_land_unlabelled(self):
         solver_stats = SolverStats()
         solver_stats.solves = 7
         solver_stats.matrices = 3
         solver_stats.sweeps_run = 12
         solver_stats.sweeps_saved = 2
         registry = MetricsRegistry()
-        ingest_solver_stats(registry, solver_stats, backend="numpy")
-        assert registry.get("repro_als_solves_total").value(backend="numpy") == 7
-        assert registry.get("repro_als_sweeps_saved_total").value(backend="numpy") == 2
+        ingest_solver_stats(registry, solver_stats)
+        assert registry.get("repro_als_solves_total").value() == 7
+        assert registry.get("repro_als_sweeps_saved_total").value() == 2
 
     def test_metrics_method_matches_the_adapter(self):
         solver_stats = SolverStats()
         solver_stats.solves = 7
         solver_stats.sweeps_run = 12
-        flat = solver_stats.metrics(backend="numpy")
-        assert flat['repro_als_solves_total{backend="numpy"}'] == 7
-        assert flat['repro_als_sweeps_run_total{backend="numpy"}'] == 12
-        # Unlabelled when no backend is named.
-        assert solver_stats.metrics()["repro_als_solves_total"] == 7
+        flat = solver_stats.metrics()
+        assert flat["repro_als_solves_total"] == 7
+        assert flat["repro_als_sweeps_run_total"] == 12
 
 
 FULL_TELEMETRY = {
