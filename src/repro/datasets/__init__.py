@@ -6,8 +6,9 @@ offline, so this subpackage provides synthetic substitutes that preserve the
 properties the cell-selection problem depends on — spatial smoothness,
 temporal (diurnal + autoregressive) correlation, low effective rank, and
 matched scale (number of cells, cycle length, duration, mean and standard
-deviation from Table 1 of the paper).  See DESIGN.md §4 for the full
-substitution rationale.
+deviation from Table 1 of the paper).  Each generator's module docstring
+(:mod:`~repro.datasets.sensorscope`, :mod:`~repro.datasets.uair`) gives its
+calibration targets and substitution rationale.
 
 * :class:`~repro.datasets.base.SensingDataset` — the in-memory dataset
   container (data matrix, cell coordinates, metadata, train/test split).

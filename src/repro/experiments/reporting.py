@@ -2,7 +2,7 @@
 
 Experiments produce lists of dictionaries ("rows"); these helpers render
 them as aligned text tables (for the console and the benchmark logs) or as
-Markdown (for EXPERIMENTS.md).
+Markdown (the experiments runner's ``--output`` report).
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 ``python -m repro.experiments.runner --scale small`` regenerates Table 1,
 Figure 6, Figure 7 and the timing measurement, prints the formatted tables
-and (optionally) writes a Markdown report — the raw material of
-EXPERIMENTS.md.
+and (optionally) writes them as a Markdown report (``--output``).
 """
 
 from __future__ import annotations

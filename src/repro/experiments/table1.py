@@ -3,8 +3,8 @@
 The paper's Table 1 lists, for Sensor-Scope and U-Air: city, data type, cell
 size, number of cells, cycle length, duration, error metric, and the mean ±
 standard deviation of the readings.  This experiment regenerates the same
-rows from the synthetic datasets so the calibration (DESIGN.md §4) can be
-checked at a glance.
+rows from the synthetic datasets so their calibration (see
+:mod:`repro.datasets`) can be checked at a glance.
 """
 
 from __future__ import annotations

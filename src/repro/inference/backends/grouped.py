@@ -1,24 +1,29 @@
-"""The single-matrix ALS kernel: grouped cell half-step, Gauss–Seidel cycles.
+"""The single-matrix ALS kernel: grouped half-steps, Gauss–Seidel cycles.
 
-The cell half-step's systems depend only on the (fixed) cycle factors, so
-rows are bucketed by their observation count, each bucket's observed-column
-indices are gathered into one ``(B, count)`` integer array, and the bucket's
-grams, right-hand sides and solves all run as single stacked gufunc calls —
+A half-step's systems depend only on the other factor matrix, which is fixed
+while it runs.  So once per solve the factors being solved are bucketed by
+observation count, and every sweep forms each bucket's grams and right-hand
+sides with one stacked matmul each, into preallocated buffers —
 
-    V_b   = cycle_factors[idx]                  # (B, count, rank) gather
-    grams = V_bᵀ V_b + λI                        # one batched matmul
-    rhs   = V_bᵀ t_b                             # one batched matmul
-    U_b   = solve(grams, rhs)                    # one stacked LAPACK call
+    F_b   = other_factors[idx]        # (B, count, rank) gather
+    grams = F_bᵀ F_b  (+ λI)          # one batched matmul per bucket
+    rhs   = F_bᵀ t_b                  # one batched matmul per bucket
 
-Stacked-solve slices are independent, so this is the same arithmetic as
-solving row by row; the committed golden outputs of the earlier per-row
-kernel (``tests/inference/data/als_golden.npz``) pin it bitwise.  The cycle
-half-step is the sequential Gauss–Seidel sweep of the paper protocol: the
-temporal-smoothness coupling uses the neighbours' *current* values.
+— then solves all of a half-step's independent systems in one stacked LAPACK
+call.  The cycle half-step with μ > 0 is the sequential Gauss–Seidel sweep
+of the paper protocol: the temporal-smoothness coupling uses the
+neighbours' *current* values, so its per-column solves stay sequential.
+
+Each stacked slice is computed exactly as the per-row / per-column call it
+replaces (same BLAS dispatch, same element-wise order), so the kernel is
+bit-for-bit the earlier per-row kernel (``tests/inference/data/als_golden.npz``
+pins it).  At the reward path's size (20 × ≤8 windows, rank ≤ 3) the cost is
+~2 µs of overhead per numpy call, not FLOPs: this module minimises calls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -27,27 +32,19 @@ import numpy as np
 from repro.inference.backends.base import factor_delta
 
 try:  # pragma: no cover - exercised indirectly on every solve
-    # The raw LAPACK gufunc behind np.linalg.solve for 1-D right-hand sides.
-    # Calling it directly skips ~10µs of per-call wrapper overhead, which
-    # dominates the Gauss–Seidel cycle sweep (tiny rank×rank systems).
-    # Bit-for-bit identical to np.linalg.solve; falls back to the public API
-    # if the private module moves.
-    from numpy.linalg import _umath_linalg as _raw_linalg
-
-    _solve_vector = _raw_linalg.solve1
+    # The raw LAPACK gufuncs behind np.linalg.solve: ``solve`` for stacked
+    # (…, m, k) right-hand sides, ``solve1`` for (…, m) ones.  Calling them
+    # directly skips ~10 µs of wrapper per call and lets results land in
+    # preallocated buffers; the bits are np.linalg.solve's.  A singular
+    # system yields NaNs (the kernel turns those into LinAlgError).
+    from numpy.linalg._umath_linalg import solve as _solve, solve1 as _solve1
 except Exception:  # pragma: no cover - depends on numpy internals
-    _solve_vector = None
 
+    def _solve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        out[...] = np.linalg.solve(a, b)
 
-def solve_small(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one small dense system, minimising call overhead."""
-    if _solve_vector is not None:
-        out = _solve_vector(gram, rhs)
-        total = out.sum()
-        if total != total:  # NaN ⇒ singular system; match np.linalg.solve
-            raise np.linalg.LinAlgError("Singular matrix")
-        return out
-    return np.linalg.solve(gram, rhs)
+    def _solve1(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        out[...] = np.linalg.solve(a, b[..., None])[..., 0]
 
 
 @dataclass
@@ -66,59 +63,61 @@ def bucket_rows(mask: np.ndarray, normalised: np.ndarray) -> List[_RowBucket]:
     Rows with zero observations are dropped — they keep their prior factor.
     """
     counts = mask.sum(axis=1)
+    # A stable sort keeps each bucket's rows ascending; np.nonzero is
+    # row-major, so each bucket's observed-column indices (and values) are
+    # one contiguous, row-sorted run of the flattened arrays.
+    order = np.argsort(counts, kind="stable")
+    sorted_mask = mask[order]
+    obs_columns = np.nonzero(sorted_mask)[1]
+    targets = normalised[order][sorted_mask]
     buckets: List[_RowBucket] = []
-    for count in np.unique(counts):
-        if count == 0:
-            continue
-        members = np.flatnonzero(counts == count)
-        # np.nonzero is row-major, so reshaping recovers each row's sorted
-        # observed-column indices.
-        obs_columns = np.nonzero(mask[members])[1].reshape(members.size, int(count))
-        targets = normalised[members[:, None], obs_columns]
-        buckets.append(_RowBucket(rows=members, obs_columns=obs_columns, targets=targets))
+    first = offset = 0
+    for count, group in itertools.groupby(counts[order].tolist()):
+        size = len(list(group))
+        stop = offset + size * count
+        if count:
+            gathered = (a[offset:stop].reshape(size, count) for a in (obs_columns, targets))
+            buckets.append(_RowBucket(order[first : first + size], *gathered))
+        first, offset = first + size, stop
     return buckets
 
 
-def gauss_seidel_cycle_sweep(
-    cell_factors: np.ndarray,
-    cycle_factors: np.ndarray,
-    ridge: np.ndarray,
-    mu: float,
-    col_obs,
-    col_targets,
-    zero_rhs: np.ndarray,
-    smooth_gram,
-) -> None:
-    """One Gauss–Seidel sweep over the cycle factors (the paper protocol).
+class _HalfStep:
+    """One half-step's per-solve plan: the factors it solves and their buckets.
 
-    The temporal-smoothness coupling uses the neighbours' *current* values,
-    so the per-column solves stay sequential.
+    ``members`` lists the solved factor indices: ``extra`` (unobserved
+    factors that still solve; their raw gram and right-hand side stay zero),
+    then the buckets'.  ``raw`` / ``rhs`` hold the unregularised ``FᵀF`` and
+    ``Fᵀt`` in that order; ``grams`` receives the regularised systems.
     """
-    n_cycles = cycle_factors.shape[0]
-    for j in range(n_cycles):
-        has_obs = col_obs[j].size > 0
-        u = cell_factors[col_obs[j]]
-        gram = u.T @ u + ridge
-        rhs_j = u.T @ col_targets[j] if has_obs else zero_rhs
-        neighbor_count = 0
-        if mu > 0:
-            if j > 0:
-                if j < n_cycles - 1:
-                    neighbor_sum = cycle_factors[j - 1] + cycle_factors[j + 1]
-                    neighbor_count = 2
-                else:
-                    neighbor_sum = cycle_factors[j - 1]
-                    neighbor_count = 1
-            elif j < n_cycles - 1:
-                neighbor_sum = cycle_factors[j + 1]
-                neighbor_count = 1
-            else:
-                neighbor_sum = zero_rhs
-            gram = gram + smooth_gram[j]
-            rhs_j = rhs_j + mu * neighbor_sum
-        if not has_obs and neighbor_count == 0:
-            continue
-        cycle_factors[j] = solve_small(gram, rhs_j)
+
+    def __init__(self, mask: np.ndarray, normalised: np.ndarray, rank: int, extra=()):
+        buckets = bucket_rows(mask, normalised)
+        self.members = np.concatenate([np.asarray(extra, int)] + [b.rows for b in buckets])
+        size = self.members.size
+        self.raw = np.zeros((size, rank, rank))
+        self.grams = np.empty_like(self.raw)
+        self.rhs = np.zeros((size, rank, 1))
+        self.solved = np.empty_like(self.rhs)
+        self.parts, start = [], len(extra)
+        for b in buckets:
+            span = slice(start, start + b.rows.size)
+            self.parts.append((b.obs_columns, b.targets[..., None], self.raw[span], self.rhs[span]))
+            start = span.stop
+
+    def build(self, other: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+        """Form every system against the other factors; returns ``grams``."""
+        for obs, targets, raw, rhs in self.parts:
+            f = other.take(obs, 0)  # (B, count, rank) gather
+            ft = f.mT
+            np.matmul(ft, f, out=raw)
+            np.matmul(ft, targets, out=rhs)
+        return np.add(self.raw, ridge, out=self.grams)
+
+    def solve(self, other: np.ndarray, ridge: np.ndarray, factors: np.ndarray) -> None:
+        """Solve every (independent) system in one stacked call, into ``factors``."""
+        _solve(self.build(other, ridge), self.rhs, out=self.solved)
+        factors[self.members] = self.solved[..., 0]
 
 
 def solve(
@@ -136,54 +135,55 @@ def solve(
 
     ``normalised`` holds zeros at unobserved entries; ``cell_factors`` /
     ``cycle_factors`` are the ``(n_cells, rank)`` / ``(n_cycles, rank)``
-    initialisations, updated in place.
+    initialisations, updated in place.  Raises ``np.linalg.LinAlgError`` if
+    a sweep meets a singular system.
     """
     n_cycles = normalised.shape[1]
     rank = cell_factors.shape[1]
     ridge = regularization * np.eye(rank)
 
-    # The observation pattern is constant across sweeps: hoist the row
-    # buckets and the per-column index sets / targets / smoothness grams.
-    buckets = bucket_rows(mask, normalised)
-    col_obs = [np.flatnonzero(mask[:, j]) for j in range(n_cycles)]
-    col_targets = [normalised[idx, j] for j, idx in enumerate(col_obs)]
-    zero_rhs = np.zeros(rank)
-    smooth_gram = (
-        [mu * ((j > 0) + (j < n_cycles - 1)) * np.eye(rank) for j in range(n_cycles)]
-        if mu > 0
-        else None
-    )
+    # The plan: observed rows; observed columns plus, with μ > 0, unobserved
+    # ones that have a neighbour to couple to.
+    rows = _HalfStep(mask, normalised, rank)
+    unobserved = np.flatnonzero(~mask.any(axis=0)) if mu > 0 and n_cycles > 1 else ()
+    cols = _HalfStep(mask.T, normalised.T, rank, extra=unobserved)
+    if mu > 0:
+        members = cols.members.tolist()
+        neighbours = np.array([(j > 0) + (j < n_cycles - 1) for j in members], dtype=float)
+        smooth = (mu * neighbours)[:, None, None] * np.eye(rank)
+        # Gauss–Seidel order: (gram, rhs, neighbour, second neighbour or
+        # None, output) by column; a lone column couples to zero, as the
+        # protocol's neighbour sum does.
+        sequence = []
+        for j, k in sorted((j, k) for k, j in enumerate(members)):
+            coupled = [cycle_factors[i] for i in (j - 1, j + 1) if 0 <= i < n_cycles]
+            coupled = (coupled + [None]) if coupled else [np.zeros(rank), None]
+            sequence.append((cols.grams[k], cols.rhs[k, :, 0], *coupled[:2], cycle_factors[j]))
 
     sweeps_run = 0
-    for _ in range(iterations):
-        previous = (
-            (cell_factors.copy(), cycle_factors.copy()) if tolerance > 0 else None
-        )
-        for bucket in buckets:
-            v = cycle_factors[bucket.obs_columns]  # (B, count, rank)
-            vt = v.transpose(0, 2, 1)
-            grams = vt @ v + ridge
-            rhs = (vt @ bucket.targets[..., None])[..., 0]
-            cell_factors[bucket.rows] = np.linalg.solve(grams, rhs[..., None])[..., 0]
+    # One errstate for the whole solve keeps the raw gufuncs from leaking FP
+    # warnings on singular systems; the NaN check below reports those.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(iterations):
+            previous = (cell_factors.copy(), cycle_factors.copy()) if tolerance > 0 else None
 
-        # One errstate for the whole sweep keeps the raw solve gufunc from
-        # leaking FP warnings on singular systems (the NaN guard in
-        # solve_small converts those to LinAlgError).
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            gauss_seidel_cycle_sweep(
-                cell_factors,
-                cycle_factors,
-                ridge,
-                mu,
-                col_obs,
-                col_targets,
-                zero_rhs,
-                smooth_gram,
-            )
+            rows.solve(cycle_factors, ridge, cell_factors)
+            if mu > 0:
+                np.add(cols.build(cell_factors, ridge), smooth, out=cols.grams)
+                for gram, rhs, left, right, out in sequence:
+                    coupling = left if right is None else left + right
+                    _solve1(gram, rhs + mu * coupling, out=out)
+            else:
+                cols.solve(cell_factors, ridge, cycle_factors)
 
-        sweeps_run += 1
-        if previous is not None and (
-            factor_delta(cell_factors, cycle_factors, *previous) < tolerance
-        ):
-            break
+            # Each factor is written once per sweep: a singular system's NaNs remain.
+            total = cell_factors.sum() + cycle_factors.sum()
+            if total != total:
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            sweeps_run += 1
+            if previous is not None and (
+                factor_delta(cell_factors, cycle_factors, *previous) < tolerance
+            ):
+                break
     return cell_factors, cycle_factors, sweeps_run

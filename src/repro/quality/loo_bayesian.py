@@ -38,7 +38,7 @@ import abc
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from repro.api.registry import ASSESSORS
 from repro.inference.base import InferenceAlgorithm
@@ -364,7 +364,9 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         if standard_error <= 1e-12:
             return 1.0 if mean <= requirement.epsilon else 0.0
         t_stat = (requirement.epsilon - mean) / standard_error
-        return float(stats.t.cdf(t_stat, df=n - 1))
+        # Student-t CDF with n − 1 degrees of freedom: ``stdtr`` is what
+        # ``stats.t.cdf`` evaluates, without its argument-checking wrapper.
+        return float(special.stdtr(n - 1, t_stat))
 
     @staticmethod
     def _classification_posterior(
@@ -397,8 +399,9 @@ class LeaveOneOutBayesianAssessor(QualityAssessor):
         alpha = 0.5 + misses
         beta = 0.5 + (n - misses)
         allowed_misses = int(np.floor(requirement.epsilon * n_unsensed))
-        posterior_predictive = stats.betabinom(n_unsensed, alpha, beta)
-        return float(posterior_predictive.cdf(allowed_misses))
+        # The unfrozen distribution method: freezing one per call re-runs
+        # scipy's docstring templating, which costs far more than the CDF.
+        return float(stats.betabinom.cdf(allowed_misses, n_unsensed, alpha, beta))
 
 
 @ASSESSORS.register("oracle")

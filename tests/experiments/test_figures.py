@@ -3,7 +3,7 @@
 These tests check the *plumbing* of the experiment harness — every requested
 (task, p, policy) combination produces a row with sane values — not the
 paper's performance ordering, which only emerges at larger scales (see the
-benchmark suite and EXPERIMENTS.md).
+benchmark suite).
 """
 
 import numpy as np

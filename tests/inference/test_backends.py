@@ -9,7 +9,9 @@ Two guarantees are pinned here:
   :class:`CompressiveSensingInference`; the ``missing_*``,
   ``unobserved_row_*`` and ``mu0_*`` keys were generated by the earlier
   per-row kernel (one Python loop over rows in the cell half-step) before it
-  was deleted.
+  was deleted.  Beyond those fixed inputs, :func:`loop_reference` — the
+  sweep written as plain per-factor loops — checks the grouped kernel bit
+  for bit on random windows, singular systems included.
 * **Isolation** — the convergence ``tolerance`` is part of an instance's
   configuration: completion-cache fingerprints and batched-pooling
   equivalence both keep numerically different solvers apart.
@@ -18,6 +20,8 @@ Two guarantees are pinned here:
 import numpy as np
 import pytest
 
+from repro.inference.backends import grouped
+from repro.inference.backends.base import factor_delta
 from repro.inference.backends.grouped import bucket_rows
 from repro.inference.compressive import CompressiveSensingInference
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
@@ -93,6 +97,91 @@ class TestGroupedParity:
             assert (counts == bucket.obs_columns.shape[1]).all()
             gathered = normalised[bucket.rows[:, None], bucket.obs_columns]
             assert np.array_equal(gathered, bucket.targets)
+
+
+
+
+def loop_reference(normalised, mask, U, V, *, regularization, mu, iterations, tolerance):
+    """The paper-protocol sweep written as loops: one ``np.linalg.solve`` per factor."""
+    n_cycles = mask.shape[1]
+    rank = U.shape[1]
+    ridge = regularization * np.eye(rank)
+    for sweep in range(1, iterations + 1):
+        previous = U.copy(), V.copy()
+        for i in np.flatnonzero(mask.any(axis=1)):
+            v = V[np.flatnonzero(mask[i])]
+            U[i] = np.linalg.solve(v.T @ v + ridge, v.T @ normalised[i, mask[i]])
+        for j in range(n_cycles):
+            rows = np.flatnonzero(mask[:, j])
+            u = U[rows]
+            gram, rhs = u.T @ u + ridge, u.T @ normalised[rows, j]
+            neighbours = [V[k] for k in (j - 1, j + 1) if 0 <= k < n_cycles]
+            if mu > 0:
+                coupling = sum(neighbours[1:], neighbours[0]) if neighbours else np.zeros(rank)
+                gram = gram + mu * len(neighbours) * np.eye(rank)
+                rhs = rhs + mu * coupling
+            if rows.size or (mu > 0 and neighbours):
+                V[j] = np.linalg.solve(gram, rhs)
+        if tolerance > 0 and factor_delta(U, V, *previous) < tolerance:
+            return U, V, sweep
+    return U, V, iterations
+
+
+class TestLoopReferenceParity:
+    """The grouped kernel is bit for bit the loop reference, singular systems included."""
+
+    @staticmethod
+    def outcome(kernel, normalised, mask, U, V, **params):
+        try:
+            return kernel(normalised, mask, U.copy(), V.copy(), **params)
+        except np.linalg.LinAlgError:
+            return "singular"
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_random_windows(self, case):
+        rng = np.random.default_rng(case)
+        n_cells, n_cycles = int(rng.integers(1, 21)), int(rng.integers(1, 9))
+        rank = min(int(rng.integers(1, 4)), n_cells, n_cycles)
+        mask = rng.random((n_cells, n_cycles)) < rng.uniform(0.1, 0.9)
+        mask[:, rng.integers(n_cycles)] &= case % 3 != 0  # sometimes an unobserved cycle
+        normalised = np.where(mask, rng.standard_normal(mask.shape), 0.0)
+        U = 0.1 * rng.standard_normal((n_cells, rank))
+        V = 0.1 * rng.standard_normal((n_cycles, rank))
+        params = dict(
+            regularization=(0.1, 0.0)[case % 4 == 1],
+            mu=(0.1, 0.0, 0.5)[case % 3],
+            iterations=int(rng.integers(1, 9)),
+            tolerance=(0.0, 1e-3)[case % 5 == 2],
+        )
+        expected = self.outcome(loop_reference, normalised, mask, U, V, **params)
+        got = self.outcome(grouped.solve, normalised, mask, U, V, **params)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str)
+            assert got[2] == expected[2]
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+
+class TestSingularSystems:
+    """Without ridge or smoothness, a rank-deficient system raises LinAlgError."""
+
+    @staticmethod
+    def unregularised():
+        return make_inference(regularization=0.0, temporal_weight=0.0)
+
+    def test_singular_row_half_step_raises(self):
+        observed = np.random.default_rng(0).standard_normal((12, 8))
+        observed[:3, 1:] = np.nan  # three rows with one observation each, rank 3
+        with pytest.raises(np.linalg.LinAlgError):
+            self.unregularised().complete(observed)
+
+    def test_single_singular_cycle_column_raises(self):
+        observed = np.random.default_rng(0).standard_normal((12, 8))
+        observed[1:, 7] = np.nan  # every row keeps 7 ≥ rank observations
+        with pytest.raises(np.linalg.LinAlgError):
+            self.unregularised().complete(observed)
 
 
 class TestConvergenceEarlyExit:

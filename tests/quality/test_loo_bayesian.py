@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.inference.compressive import CompressiveSensingInference
 from repro.inference.interpolation import SpatialMeanInference
@@ -104,6 +105,47 @@ class TestLOOBayesianAssessor:
             observed, 5, QualityRequirement(epsilon=1.0, p=0.9), SpatialMeanInference()
         )
         assert 0.0 <= probability <= 1.0
+
+
+
+class TestPosteriorsMatchFrozenDistributions:
+    """The posteriors equal the frozen scipy distributions exactly, not approximately."""
+
+    N_UNSENSED = (1, 7, 19)
+
+    @pytest.mark.parametrize("n_unsensed", N_UNSENSED)
+    @pytest.mark.parametrize("n_samples", [2, 3, 12])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_continuous_posterior(self, n_unsensed, n_samples, epsilon):
+        rng = np.random.default_rng(n_samples)
+        requirement = QualityRequirement(epsilon=epsilon, p=0.9)
+        for _ in range(5):
+            errors = np.abs(rng.normal(0.4, 0.3, size=n_samples))
+            std = errors.std(ddof=1)
+            standard_error = std / np.sqrt(n_unsensed) + std / np.sqrt(n_samples)
+            t_stat = (epsilon - errors.mean()) / standard_error
+            expected = float(stats.t(n_samples - 1).cdf(t_stat))
+            posterior = LeaveOneOutBayesianAssessor._continuous_posterior(
+                errors, requirement, n_unsensed
+            )
+            assert posterior == expected
+
+    @pytest.mark.parametrize("n_unsensed", N_UNSENSED)
+    @pytest.mark.parametrize("n_samples,misses", [(3, 0), (3, 1), (6, 3), (12, 0), (12, 5)])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.15, 0.5])
+    def test_classification_posterior(self, n_unsensed, n_samples, misses, epsilon):
+        requirement = QualityRequirement(epsilon=epsilon, p=0.9, metric="classification")
+        true_values = np.full(n_samples, 10.0)  # all in the lowest category
+        predicted = true_values.copy()
+        predicted[:misses] = 400.0  # the highest category
+        allowed = int(np.floor(epsilon * n_unsensed))
+        expected = float(
+            stats.betabinom(n_unsensed, 0.5 + misses, 0.5 + n_samples - misses).cdf(allowed)
+        )
+        posterior = LeaveOneOutBayesianAssessor._classification_posterior(
+            true_values, predicted, requirement, n_unsensed
+        )
+        assert posterior == expected
 
 
 class TestOracleAssessor:
