@@ -8,7 +8,7 @@ completions solved one at a time (the seed protocol) against the batched
 path (all held-out windows in one ``complete_batch`` call), plus the pooled
 ``assess_many`` path used by the lockstep campaign runner.
 
-Results go to ``benchmarks/results/assessor.json``.  Smoke mode for CI:
+Results go to ``benchmarks/out/assessor.json``.  Smoke mode for CI:
 ``ASSESSOR_BENCH_SMOKE=1`` runs a single repetition so regressions in the
 batched path fail fast without paying the full measurement.
 """

@@ -10,7 +10,7 @@ One fleet of concurrent campaigns is driven through a
 :class:`~repro.serve.server.DecisionServer` twice — bare, and with a full
 :class:`~repro.obs.Observability` bundle (tracer + profiler + every-barrier
 snapshots) attached — taking the best of several rounds each.  Results go
-to ``benchmarks/results/obs.json`` with per-mode timings, span/metric
+to ``benchmarks/out/obs.json`` with per-mode timings, span/metric
 counts, and the measured overhead; full mode asserts the overhead stays
 under 5%.  Smoke mode for CI: ``OBS_BENCH_SMOKE=1`` shrinks the fleet and
 skips the assertion (tiny runs are dominated by noise).

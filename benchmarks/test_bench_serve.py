@@ -4,8 +4,9 @@ The serving story of this reproduction: many independent Sparse MCS
 campaigns run at once (the paper's cloud platform serving many concurrent
 sensing tasks), and the per-campaign cost is dominated by quality
 assessments — each one a batch of LOO matrix completions.  Dispatching the
-campaigns one :class:`~repro.mcs.campaign.CampaignRunner` at a time solves
-each campaign's completions in isolation; routing them through one
+campaigns one at a time, each through a one-slot
+:class:`~repro.mcs.campaign.BatchedCampaignRunner`, solves each campaign's
+completions in isolation; routing them through one
 :class:`~repro.serve.server.DecisionServer` fuses all concurrently pending
 completions into single batched ALS solves and deduplicates repeated partial
 matrices through the completion cache.
@@ -19,7 +20,7 @@ Two fleets are measured:
   / A-B comparison regime the completion cache targets): fusion plus
   within-batch deduplication, so N campaigns cost barely more than one.
 
-Results go to ``benchmarks/results/serve.json`` with cache hit rates, batch
+Results go to ``benchmarks/out/serve.json`` with cache hit rates, batch
 occupancy, and p50/p99 per-request latency.  Smoke mode for CI:
 ``SERVE_BENCH_SMOKE=1`` shrinks the fleet and skips the speedup assertions
 (they need the full-size run).
@@ -31,7 +32,12 @@ import numpy as np
 
 from repro.datasets.sensorscope import generate_sensorscope
 from repro.inference.compressive import CompressiveSensingInference
-from repro.mcs import CampaignConfig, CampaignRunner, RandomSelectionPolicy, SensingTask
+from repro.mcs import (
+    BatchedCampaignRunner,
+    CampaignConfig,
+    RandomSelectionPolicy,
+    SensingTask,
+)
 from repro.mcs.served import ServedCampaignRunner
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
@@ -82,11 +88,11 @@ def _config() -> CampaignConfig:
 
 
 def _run_sequential(n_campaigns: int, *, replicated: bool):
-    """Per-campaign sequential dispatch: one isolated runner after another."""
+    """Per-campaign sequential dispatch: one isolated one-slot runner after another."""
     campaigns = [_campaign(k, replicated=replicated) for k in range(n_campaigns)]
     start = monotonic()
     results = [
-        CampaignRunner(task, _config()).run(policy, n_cycles=N_CYCLES)
+        BatchedCampaignRunner(task, _config()).run([policy], n_cycles=N_CYCLES)[0]
         for task, policy in campaigns
     ]
     return results, monotonic() - start, None

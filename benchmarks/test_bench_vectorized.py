@@ -3,10 +3,10 @@
 Three guarantees are checked:
 
 * **Exactness** — with a single environment, the vectorized rollout loop
-  must reproduce the sequential training loop bit for bit (same seeds →
-  same per-episode rewards and same final weights).  This is what makes
-  ``vector_envs=1`` (fused learning off) a faithful replica of the paper's
-  protocol.
+  must reproduce the sequential reference loop (``tests/rl/reference.py``)
+  bit for bit (same seeds → same per-episode rewards and same final
+  weights).  This is what makes ``vector_envs=1`` (fused learning off) a
+  faithful replica of the paper's protocol.
 * **Throughput** — stepping K environments in lockstep (batched action
   selection, batched quality-check inference) must beat the sequential
   loop.
@@ -16,10 +16,8 @@ Three guarantees are checked:
 
 Steps/second for the per-transition path at K ∈ {1, 4, 8} and the fused
 path at K ∈ {1, 4, 8, 16} is recorded to
-``benchmarks/results/vectorized.json``.
+``benchmarks/out/vectorized.json``.
 """
-
-import numpy as np
 
 from repro.core.drcell import DRCellAgent
 from repro.core.trainer import DRCellTrainer
@@ -29,6 +27,7 @@ from repro.quality.epsilon_p import QualityRequirement
 from repro.rl.vector_env import VectorEnv
 
 from benchmarks.conftest import write_result
+from tests.rl.reference import assert_same_weights, train_sequential
 
 REQUIREMENT = QualityRequirement(epsilon=0.5, p=0.9, metric="mae")
 
@@ -47,8 +46,8 @@ def test_vectorized_k1_bitwise_identical_to_sequential():
     train_set, trainer = _training_setup(TINY_SCALE)
     sequential_agent = DRCellAgent.build(train_set.n_cells, trainer.config)
     sequential_env = trainer.build_environment(train_set, REQUIREMENT)
-    sequential = sequential_agent.agent.train(
-        sequential_env, trainer.config.episodes, log_every=0
+    sequential = train_sequential(
+        sequential_agent.agent, sequential_env, trainer.config.episodes
     )
 
     train_set, trainer = _training_setup(TINY_SCALE)
@@ -62,11 +61,7 @@ def test_vectorized_k1_bitwise_identical_to_sequential():
     vectorized_rewards = [stats.total_reward for stats in vectorized]
     assert sequential_rewards == vectorized_rewards  # bitwise: exact float equality
     assert [s.steps for s in sequential] == [s.steps for s in vectorized]
-    for layer_seq, layer_vec in zip(
-        sequential_agent.get_weights(), vectorized_agent.get_weights()
-    ):
-        for name in layer_seq:
-            assert np.array_equal(layer_seq[name], layer_vec[name])
+    assert_same_weights(sequential_agent, vectorized_agent)
 
 
 def test_bench_vectorized_throughput(benchmark):

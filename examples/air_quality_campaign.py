@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    BatchedCampaignRunner,
     CampaignConfig,
-    CampaignRunner,
     DRCellConfig,
     DRCellTrainer,
     QBCSelectionPolicy,
@@ -83,7 +83,7 @@ def main() -> None:
         inference=inference,
         assessor=LeaveOneOutBayesianAssessor(min_observations=3, max_loo_cells=6, history_window=8),
     )
-    runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
+    runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
 
     policies = (
         DRCellPolicy(agent),
@@ -92,7 +92,7 @@ def main() -> None:
     )
     print(f"\nquality requirement: {requirement.describe()}")
     for policy in policies:
-        result = runner.run(policy, n_cycles=min(20, test_set.n_cycles))
+        result = runner.run([policy], n_cycles=min(20, test_set.n_cycles))[0]
         accuracy = categorisation_accuracy(result, test_set)
         print(
             f"{policy.name:>8}: {result.mean_selected_per_cycle:.2f} cells/cycle, "

@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    BatchedCampaignRunner,
     CampaignConfig,
-    CampaignRunner,
     DRCellConfig,
     QualityRequirement,
     RandomSelectionPolicy,
@@ -66,7 +66,7 @@ def main() -> None:
         inference=inference,
         assessor=LeaveOneOutBayesianAssessor(min_observations=3, max_loo_cells=6, history_window=8),
     )
-    runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
+    runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
 
     config = DRCellConfig(
         window=2,
@@ -85,7 +85,7 @@ def main() -> None:
     n_cycles = min(30, dataset.n_cycles)
     policies = {"ONLINE DR-Cell": online_policy, "RANDOM": RandomSelectionPolicy(seed=1)}
     for name, policy in policies.items():
-        result = runner.run(policy, n_cycles=n_cycles)
+        result = runner.run([policy], n_cycles=n_cycles)[0]
         print(
             f"{name:>15}: {result.mean_selected_per_cycle:.2f} cells/cycle, "
             f"total cost {result.total_cost(cell_costs):.1f} "

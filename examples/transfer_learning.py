@@ -22,8 +22,8 @@ Run with::
 from __future__ import annotations
 
 from repro import (
+    BatchedCampaignRunner,
     CampaignConfig,
-    CampaignRunner,
     DRCellConfig,
     DRCellTrainer,
     QualityRequirement,
@@ -88,11 +88,11 @@ def main() -> None:
         inference=inference,
         assessor=LeaveOneOutBayesianAssessor(min_observations=3, max_loo_cells=6, history_window=8),
     )
-    runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
+    runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=2))
 
     print(f"\nhumidity testing stage under {target_requirement.describe()}:")
     for name, policy in strategies.items():
-        result = runner.run(policy, n_cycles=min(20, target_test.n_cycles))
+        result = runner.run([policy], n_cycles=min(20, target_test.n_cycles))[0]
         print(
             f"{name:>12}: {result.mean_selected_per_cycle:.2f} cells/cycle, "
             f"cycles within ε: {result.quality_satisfied_fraction:.0%}"

@@ -42,8 +42,8 @@ from repro.core import (
 )
 from repro.datasets import SensingDataset, generate_sensorscope, generate_uair
 from repro.mcs import (
+    BatchedCampaignRunner,
     CampaignConfig,
-    CampaignRunner,
     QBCSelectionPolicy,
     RandomSelectionPolicy,
     SensingTask,
@@ -67,8 +67,8 @@ __all__ = [
     "SensingDataset",
     "generate_sensorscope",
     "generate_uair",
+    "BatchedCampaignRunner",
     "CampaignConfig",
-    "CampaignRunner",
     "QBCSelectionPolicy",
     "RandomSelectionPolicy",
     "SensingTask",
@@ -94,5 +94,5 @@ def quick_campaign(n_cells: int = 12, *, seed: int = 0):
         "temperature", n_cells=n_cells, duration_days=1.0, cycle_length_hours=2.0, seed=seed
     )
     task = SensingTask.default_temperature_task(dataset, epsilon=1.0, p=0.8, seed=seed)
-    runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=2))
-    return runner.run(RandomSelectionPolicy(seed=seed), n_cycles=min(6, dataset.n_cycles))
+    runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=2))
+    return runner.run([RandomSelectionPolicy(seed=seed)], n_cycles=min(6, dataset.n_cycles))[0]

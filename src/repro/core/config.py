@@ -67,8 +67,8 @@ class DRCellConfig:
         The default False preserves the per-transition protocol; combined
         with ``vector_envs = 1`` that is the paper's exact sequential
         behaviour bit for bit.  Setting ``fused_learning = True`` with
-        ``vector_envs = 1`` routes training through the vectorized engine
-        with a single environment so the fused schedule applies.
+        ``vector_envs = 1`` also batches that single environment's quality
+        checks (see :meth:`~repro.core.trainer.DRCellTrainer.train`).
     dqn:
         Inner deep-Q-learning loop configuration (replay, batch size, target
         update interval, discount).

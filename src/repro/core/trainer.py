@@ -22,13 +22,10 @@ from repro.mcs.environment import RewardModel, SparseMCSEnvironment
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
 from repro.obs.profile import phase
 from repro.quality.epsilon_p import QualityRequirement
-from repro.rl.dqn import EpisodeStats
-from repro.utils.logging import get_logger
+from repro.rl.vector_env import VectorEnv
 from repro.utils.seeding import derive_rng
 from repro.utils.timing import monotonic
 from repro.utils.validation import check_positive_int
-
-logger = get_logger(__name__)
 
 
 @dataclass
@@ -118,6 +115,13 @@ class DRCellTrainer:
     ) -> tuple[DRCellAgent, TrainingReport]:
         """Train (or continue training) a DR-Cell agent on ``dataset``.
 
+        ``config.vector_envs`` environments are stepped in lockstep.  With
+        one environment and fused learning off — the paper's protocol — the
+        environment steps itself, so each reward check runs the Gauss–Seidel
+        :meth:`~repro.inference.base.InferenceAlgorithm.complete`.  Every
+        other fleet batches its reward checks through
+        :class:`~repro.mcs.vector.BatchedSparseMCSVectorEnv`.
+
         Parameters
         ----------
         dataset:
@@ -135,64 +139,28 @@ class DRCellTrainer:
         tuple
             ``(trained_agent, report)``.
         """
-        episodes = check_positive_int(
-            episodes if episodes is not None else self.config.episodes, "episodes"
+        episodes = self._resolve_episodes(episodes)
+        agent = self._resolve_agent(agent, dataset.n_cells)
+        environments = [
+            self.build_environment(dataset, requirement, variant=index)
+            for index in range(min(self.config.vector_envs, episodes))
+        ]
+        paper_protocol = self.config.vector_envs == 1 and not self.config.fused_learning
+        fleet = (
+            VectorEnv(environments)
+            if paper_protocol
+            else BatchedSparseMCSVectorEnv(environments)
         )
-        if agent is None:
-            agent = DRCellAgent.build(dataset.n_cells, self.config)
-        elif agent.n_cells != dataset.n_cells:
-            raise ValueError(
-                f"agent was built for {agent.n_cells} cells but the dataset has {dataset.n_cells}"
-            )
-
-        episode_rewards: List[float] = []
-        episode_selections: List[float] = []
-        start = monotonic()
-        if self.config.vector_envs > 1 or self.config.fused_learning:
-            # Fused global-step learning only exists in the vectorized
-            # engine, so `fused_learning` with `vector_envs = 1` still routes
-            # through the lockstep loop (with a single environment).
-            n_envs = min(self.config.vector_envs, episodes)
-            environments = [
-                self.build_environment(dataset, requirement, variant=index)
-                for index in range(n_envs)
-            ]
-            self._run_lockstep(
-                agent, environments, episodes, episode_rewards, episode_selections
-            )
-        else:
-            environment = self.build_environment(dataset, requirement)
-            for episode in range(episodes):
-                with phase("train.episode"):
-                    stats: EpisodeStats = agent.agent.train_episode(environment)
-                episode_rewards.append(stats.total_reward)
-                cycles = max(1, environment.episode_cycles)
-                episode_selections.append(stats.steps / cycles)
-                logger.info(
-                    "DR-Cell training episode %d/%d: reward=%.1f selections/cycle=%.2f",
-                    episode + 1,
-                    episodes,
-                    stats.total_reward,
-                    stats.steps / cycles,
-                )
-        elapsed = monotonic() - start
-
-        report = TrainingReport(
-            episodes=episodes,
-            total_steps=agent.agent.total_steps,
-            wall_clock_seconds=elapsed,
-            episode_rewards=episode_rewards,
-            episode_selections=episode_selections,
+        return self._train_fleet(
+            agent,
+            fleet,
+            episodes,
+            datasets=[dataset],
+            requirements=[requirement],
+            # The paper's protocol learns per transition, whatever the
+            # agent's own DQN config says.
+            fused=False if paper_protocol else None,
         )
-        agent.training_info.update(
-            {
-                "dataset": dataset.name,
-                "episodes_trained": agent.training_info.get("episodes_trained", 0) + episodes,
-                "last_training_seconds": elapsed,
-                "requirement": requirement.describe(),
-            }
-        )
-        return agent, report
 
     def train_lockstep(
         self,
@@ -209,9 +177,10 @@ class DRCellTrainer:
         stepped in lockstep by the vectorized engine
         (:class:`~repro.mcs.vector.BatchedSparseMCSVectorEnv` driving
         :meth:`~repro.rl.dqn.DQNAgent.train_episodes_vectorized`), batching
-        action selection and the quality-check inference across the fleet.
-        The datasets may differ in values, cycle counts and requirements but
-        must agree on the number of cells (the action space).
+        action selection and the quality-check inference across the fleet,
+        even when there is only one pair.  The datasets may differ in values,
+        cycle counts and requirements but must agree on the number of cells
+        (the action space).
 
         ``config.vector_envs`` is ignored here — the fleet size is simply the
         number of pairs.
@@ -251,77 +220,79 @@ class DRCellTrainer:
                     f"dataset {index} has {candidate.n_cells} cells, expected {n_cells}; "
                     "lockstep training requires a shared action space"
                 )
-        episodes = check_positive_int(
-            episodes if episodes is not None else self.config.episodes, "episodes"
-        )
-        if agent is None:
-            agent = DRCellAgent.build(n_cells, self.config)
-        elif agent.n_cells != n_cells:
-            raise ValueError(
-                f"agent was built for {agent.n_cells} cells but the datasets have {n_cells}"
-            )
-
+        episodes = self._resolve_episodes(episodes)
+        agent = self._resolve_agent(agent, n_cells)
         environments = [
             self.build_environment(dataset, requirement, variant=index)
             for index, (dataset, requirement) in enumerate(zip(datasets, requirements))
         ]
-        episode_rewards: List[float] = []
-        episode_selections: List[float] = []
+        return self._train_fleet(
+            agent,
+            BatchedSparseMCSVectorEnv(environments),
+            episodes,
+            datasets=datasets,
+            requirements=requirements,
+        )
+
+    def _resolve_episodes(self, episodes: Optional[int]) -> int:
+        return check_positive_int(
+            episodes if episodes is not None else self.config.episodes, "episodes"
+        )
+
+    def _resolve_agent(self, agent: Optional[DRCellAgent], n_cells: int) -> DRCellAgent:
+        if agent is None:
+            return DRCellAgent.build(n_cells, self.config)
+        if agent.n_cells != n_cells:
+            raise ValueError(
+                f"agent was built for {agent.n_cells} cells but the training data has {n_cells}"
+            )
+        return agent
+
+    def _train_fleet(
+        self,
+        agent: DRCellAgent,
+        fleet: VectorEnv,
+        episodes: int,
+        *,
+        datasets: Sequence[SensingDataset],
+        requirements: Sequence[QualityRequirement],
+        fused: Optional[bool] = None,
+    ) -> tuple[DRCellAgent, TrainingReport]:
+        """Run the lockstep training loop over ``fleet`` and report on it.
+
+        ``config.fused_learning`` forces the fused global-step schedule even
+        for agents whose own DQN config predates the knob (e.g. transferred
+        agents); otherwise ``fused`` decides, and ``None`` defers to the
+        agent's config.
+        """
         start = monotonic()
-        self._run_lockstep(agent, environments, episodes, episode_rewards, episode_selections)
+        with phase("train.lockstep"):
+            history = agent.agent.train_episodes_vectorized(
+                fleet,
+                episodes,
+                log_every=1,
+                fused=True if self.config.fused_learning else fused,
+            )
+        episode_selections = [
+            stats.steps / max(1, int(stats.extra.get("episode_cycles", 1))) for stats in history
+        ]
         elapsed = monotonic() - start
 
         report = TrainingReport(
             episodes=episodes,
             total_steps=agent.agent.total_steps,
             wall_clock_seconds=elapsed,
-            episode_rewards=episode_rewards,
+            episode_rewards=[stats.total_reward for stats in history],
             episode_selections=episode_selections,
         )
-        dataset_names = sorted({dataset.name for dataset in datasets})
-        requirement_names = sorted({requirement.describe() for requirement in requirements})
         agent.training_info.update(
             {
-                "dataset": " + ".join(dataset_names),
+                "dataset": " + ".join(sorted({dataset.name for dataset in datasets})),
                 "episodes_trained": agent.training_info.get("episodes_trained", 0) + episodes,
                 "last_training_seconds": elapsed,
-                "requirement": " + ".join(requirement_names),
+                "requirement": " + ".join(
+                    sorted({requirement.describe() for requirement in requirements})
+                ),
             }
         )
         return agent, report
-
-    def _run_lockstep(
-        self,
-        agent: DRCellAgent,
-        environments: List[SparseMCSEnvironment],
-        episodes: int,
-        episode_rewards: List[float],
-        episode_selections: List[float],
-    ) -> None:
-        """Drive the vectorized training loop and collect per-episode statistics.
-
-        ``config.fused_learning`` forces the fused global-step schedule even
-        for agents whose own DQN config predates the knob (e.g. transferred
-        agents); otherwise the agent's config decides.
-        """
-        vector_env = BatchedSparseMCSVectorEnv(environments)
-        with phase("train.lockstep"):
-            history = agent.agent.train_episodes_vectorized(
-                vector_env,
-                episodes,
-                log_every=0,
-                fused=True if self.config.fused_learning else None,
-            )
-        for position, stats in enumerate(history):
-            episode_rewards.append(stats.total_reward)
-            cycles = max(1, int(stats.extra.get("episode_cycles", 1)))
-            episode_selections.append(stats.steps / cycles)
-            logger.info(
-                "DR-Cell training episode %d/%d (env %d): reward=%.1f "
-                "selections/cycle=%.2f",
-                position + 1,
-                episodes,
-                int(stats.extra.get("env_index", 0)),
-                stats.total_reward,
-                stats.steps / cycles,
-            )

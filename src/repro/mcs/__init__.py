@@ -8,11 +8,11 @@ evaluates DR-Cell inside:
 * :class:`~repro.mcs.policies.CellSelectionPolicy` — the policy interface;
   :class:`~repro.mcs.random_policy.RandomSelectionPolicy` and
   :class:`~repro.mcs.qbc.QBCSelectionPolicy` are the paper's baselines.
-* :class:`~repro.mcs.campaign.CampaignRunner` — the cycle loop: select cells
-  one by one until the quality assessor is satisfied, then infer the rest.
-* :class:`~repro.mcs.campaign.BatchedCampaignRunner` — the same loop for P
-  policies / requirement settings in lockstep, with the per-submission
-  assessments and end-of-cycle completions batched.
+* :class:`~repro.mcs.campaign.BatchedCampaignRunner` — the cycle loop:
+  select cells one by one until the quality assessor is satisfied, then
+  infer the rest.  It runs P policies / requirement settings in lockstep,
+  with the per-submission assessments and end-of-cycle completions batched;
+  one campaign is the P=1 case, ``runner.run([policy])[0]``.
 * :class:`~repro.mcs.served.ServedCampaignRunner` — the same lockstep loop
   with every batched decision routed through a shared
   :class:`~repro.serve.server.DecisionServer`, so independent fleets fuse
@@ -27,7 +27,7 @@ from repro.mcs.task import SensingTask
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.random_policy import RandomSelectionPolicy
 from repro.mcs.qbc import QBCSelectionPolicy
-from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig, CampaignRunner
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.environment import SparseMCSEnvironment, StateEncoder
 from repro.mcs.results import CampaignResult, CycleRecord
 from repro.mcs.served import ServedCampaignRunner
@@ -39,7 +39,6 @@ __all__ = [
     "QBCSelectionPolicy",
     "BatchedCampaignRunner",
     "CampaignConfig",
-    "CampaignRunner",
     "ServedCampaignRunner",
     "SparseMCSEnvironment",
     "StateEncoder",

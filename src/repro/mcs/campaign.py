@@ -8,6 +8,10 @@ has been sensed) the remaining cells are inferred and the campaign moves to
 the next cycle.  The true per-cycle inference error is recorded against the
 ground truth so the evaluation can verify the quality guarantee was really
 met.
+
+:class:`BatchedCampaignRunner` is the one direct implementation of that
+loop.  It steps P campaigns in lockstep; a single campaign is its P=1 case,
+``BatchedCampaignRunner(task, config).run([policy])[0]``.
 """
 
 from __future__ import annotations
@@ -176,116 +180,6 @@ class CampaignConfig:
                 )
 
 
-class CampaignRunner:
-    """Runs a full Sparse MCS campaign for one task and one selection policy."""
-
-    def __init__(self, task: SensingTask, config: Optional[CampaignConfig] = None) -> None:
-        self.task = task
-        self.config = config or CampaignConfig()
-        _warn_on_window_mismatch(task, self.config)
-
-    def run(self, policy: CellSelectionPolicy, *, n_cycles: Optional[int] = None) -> CampaignResult:
-        """Execute the campaign and return its :class:`CampaignResult`.
-
-        Parameters
-        ----------
-        policy:
-            The cell-selection policy under evaluation.
-        n_cycles:
-            Optionally restrict the campaign to the first ``n_cycles`` cycles
-            of the task's dataset (used by tests and quick examples).
-        """
-        dataset = self.task.dataset
-        total_cycles = dataset.n_cycles if n_cycles is None else min(
-            check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
-        )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-
-        ground_truth = dataset.data
-        observed = np.full((n_cells, total_cycles), np.nan)
-        inferred = np.full((n_cells, total_cycles), np.nan)
-        result = CampaignResult(
-            policy_name=policy.name,
-            requirement=self.task.requirement,
-            n_cells=n_cells,
-            metadata={"dataset": dataset.name, "n_cycles": total_cycles},
-        )
-
-        for cycle in range(total_cycles):
-            policy.begin_cycle(cycle, observed)
-            sensed_mask = np.zeros(n_cells, dtype=bool)
-            selected_order = []
-            assessed_satisfied = False
-
-            while sensed_mask.sum() < max_cells:
-                cell = policy.select_cell(observed, cycle, sensed_mask)
-                cell = CellSelectionPolicy._validate_selection(cell, sensed_mask)
-                sensed_mask[cell] = True
-                selected_order.append(cell)
-                observed[cell, cycle] = ground_truth[cell, cycle]
-
-                n_selected = int(sensed_mask.sum())
-                if n_selected < min_cells:
-                    continue
-                if (n_selected - min_cells) % self.config.assess_every != 0:
-                    continue
-                if self.task.assessor.assess(
-                    observed[:, : cycle + 1], cycle, self.task.requirement, self.task.inference
-                ):
-                    assessed_satisfied = True
-                    break
-
-            true_error, cycle_estimate = self._finalize_cycle(
-                observed, ground_truth, cycle, sensed_mask
-            )
-            inferred[:, cycle] = cycle_estimate
-            policy.end_cycle(cycle, observed)
-            result.add_record(
-                CycleRecord(
-                    cycle=cycle,
-                    selected_cells=tuple(selected_order),
-                    true_error=true_error,
-                    assessed_satisfied=assessed_satisfied,
-                )
-            )
-            logger.debug(
-                "cycle %d: %d cells selected, error=%.4f, assessed=%s",
-                cycle,
-                len(selected_order),
-                true_error,
-                assessed_satisfied,
-            )
-
-        result.inferred_matrix = inferred
-        return result
-
-    # -- internals -------------------------------------------------------------
-
-    def _finalize_cycle(
-        self,
-        observed: np.ndarray,
-        ground_truth: np.ndarray,
-        cycle: int,
-        sensed_mask: np.ndarray,
-    ) -> tuple[float, np.ndarray]:
-        """Infer the unsensed cells of ``cycle`` and measure the true error."""
-        start = max(0, cycle + 1 - self.config.history_window)
-        window = observed[:, start : cycle + 1]
-        current = window.shape[1] - 1
-        if sensed_mask.all():
-            estimate = ground_truth[:, cycle].copy()
-        else:
-            completed = self.task.inference.complete(window)
-            estimate = completed[:, current]
-        error = self.task.requirement.column_error(
-            ground_truth[:, cycle], estimate, exclude=sensed_mask
-        )
-        return float(error), estimate
-
-
 @dataclass
 class _CampaignSlot:
     """Mutable per-(task, policy) state of one lockstep campaign slot."""
@@ -300,7 +194,7 @@ class _CampaignSlot:
     assessed_satisfied: bool = False
     active: bool = False
     #: Tenant (campaign) id the serving layer tags this slot's requests with;
-    #: the direct runners never read it.
+    #: the direct runner never reads it.
     tenant: str = "default"
 
     @property
@@ -313,9 +207,9 @@ class BatchedCampaignRunner:
 
     The testing-stage evaluation (Figure 6 / Figure 7) compares several
     policies — and often several requirement settings — over the *same*
-    dataset.  Running them one :class:`CampaignRunner` at a time repeats the
-    dominant cost, the per-submission quality assessment, P times over.  This
-    runner instead steps every campaign slot through the cycle loop together:
+    dataset.  Running them one campaign at a time repeats the dominant cost,
+    the per-submission quality assessment, P times over.  This runner
+    instead steps every campaign slot through the cycle loop together:
 
     * after each lockstep submission round, all due slots are assessed in one
       :meth:`~repro.quality.loo_bayesian.QualityAssessor.assess_many` call,
@@ -324,13 +218,12 @@ class BatchedCampaignRunner:
     * at the end of each cycle, the not-fully-sensed slots' final inference
       windows are completed in one batched call as well.
 
-    Each slot's campaign semantics are unchanged — a slot stops sensing as
-    soon as *its* assessor is satisfied, and records the same per-cycle
-    statistics as :class:`CampaignRunner`.  With an inference algorithm that
-    has no vectorized solver the batched calls degrade to the sequential
-    loop, making the results bit-exact with P separate runners; with a
-    vectorized solver (batched ALS) they agree within the solver's
-    documented tolerance.
+    Each slot's campaign semantics are those of a campaign run alone — a
+    slot stops sensing as soon as *its* assessor is satisfied, and records
+    its own per-cycle statistics.  With an inference algorithm that has no
+    vectorized solver the batched calls degrade to a per-matrix loop, making
+    the results bit-exact with P one-slot runs; with a vectorized solver
+    (batched ALS) they agree within the solver's documented tolerance.
 
     Parameters
     ----------

@@ -15,7 +15,7 @@ import numpy as np
 
 
 class CellSelectionPolicy(abc.ABC):
-    """Abstract cell-selection policy used by :class:`~repro.mcs.campaign.CampaignRunner`."""
+    """Abstract cell-selection policy used by :class:`~repro.mcs.campaign.BatchedCampaignRunner`."""
 
     #: Short display name used in experiment reports.
     name: str = "policy"

@@ -14,9 +14,13 @@ and then finishes each step.
 
 The batched completion optimises the same ALS objective with the same
 budget but is not bit-for-bit identical to the sequential solver (see
-``complete_batch``), so this wrapper is used for the throughput-oriented
-``vector_envs > 1`` training mode; the ``vector_envs = 1`` default keeps
-the paper's exact sequential protocol.
+``complete_batch``).  :class:`~repro.core.trainer.DRCellTrainer` therefore
+uses this wrapper for every fleet except the paper's protocol
+(``vector_envs = 1`` with fused learning off), whose single environment is
+stepped by the plain :class:`~repro.rl.vector_env.VectorEnv` and keeps the
+Gauss–Seidel ``complete``.  Fused K=1 training and
+:meth:`~repro.core.trainer.DRCellTrainer.train_lockstep` over one dataset
+still come through here.
 """
 
 from __future__ import annotations

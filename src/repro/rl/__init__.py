@@ -3,8 +3,7 @@
 Implements the general-purpose machinery DR-Cell builds on:
 
 * :class:`~repro.rl.replay.ArrayReplayBuffer` — array-backed experience
-  replay (paper §4.3); :class:`~repro.rl.replay.ReplayBuffer` is its
-  backward-compatible alias.
+  replay (paper §4.3).
 * :class:`~repro.rl.vector_env.VectorEnv` — K independent environments
   stepped in lockstep for the vectorized training engine.
 * :mod:`~repro.rl.schedules` — δ-greedy exploration schedules (the paper's
@@ -20,7 +19,7 @@ Implements the general-purpose machinery DR-Cell builds on:
 """
 
 from repro.rl.environment import Environment, Transition
-from repro.rl.replay import ArrayReplayBuffer, ReplayBuffer
+from repro.rl.replay import ArrayReplayBuffer
 from repro.rl.vector_env import VectorEnv
 from repro.rl.schedules import ConstantSchedule, ExponentialDecaySchedule, LinearDecaySchedule, Schedule
 from repro.rl.qlearning import TabularQLearner, TabularQLearningConfig
@@ -31,7 +30,6 @@ __all__ = [
     "Environment",
     "Transition",
     "ArrayReplayBuffer",
-    "ReplayBuffer",
     "VectorEnv",
     "Schedule",
     "ConstantSchedule",

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.nn.network import QNetworkBase
-from repro.rl.environment import Environment, Transition
+from repro.rl.environment import Transition
 from repro.rl.replay import ArrayReplayBuffer
 from repro.rl.schedules import LinearDecaySchedule, Schedule
 from repro.rl.vector_env import VectorEnv
@@ -52,8 +52,8 @@ class DQNConfig:
         and trained with a single ``train_on_batch`` call, instead of K
         per-transition updates in environment order.  Target-network syncs
         and the ``learn_every`` cadence then count global steps.  The
-        default False preserves the per-transition protocol (bit-exact at
-        K=1 with the sequential loop).
+        default False keeps the per-transition protocol, which at K=1 is
+        the paper's sequential loop.
     """
 
     discount: float = 0.95
@@ -310,60 +310,6 @@ class DQNAgent:
             self.target.copy_weights_from(self.online)
         return loss
 
-    def train_episode(self, env: Environment, max_steps: int = 10_000) -> EpisodeStats:
-        """Interact with ``env`` for one episode, learning as transitions arrive."""
-        state = env.reset()
-        total_reward = 0.0
-        losses: List[float] = []
-        episode_index = getattr(self, "_episode_counter", 0)
-        steps_taken = 0
-        for _ in range(check_positive_int(max_steps, "max_steps")):
-            mask = env.valid_action_mask()
-            action = self.select_action(state, mask=mask)
-            next_state, reward, done, info = env.step(action)
-            loss = self.observe_step(state, action, reward, next_state, done, info=info)
-            if loss is not None:
-                losses.append(loss)
-            total_reward += reward
-            state = next_state
-            steps_taken += 1
-            if done:
-                break
-        self._episode_counter = episode_index + 1
-        return EpisodeStats(
-            episode=episode_index,
-            total_reward=total_reward,
-            steps=steps_taken,
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            final_delta=self.exploration(self.total_steps),
-        )
-
-    def train(
-        self,
-        env: Environment,
-        episodes: int,
-        *,
-        max_steps_per_episode: int = 10_000,
-        log_every: int = 10,
-    ) -> List[EpisodeStats]:
-        """Train for a fixed number of episodes and return per-episode stats."""
-        episodes = check_positive_int(episodes, "episodes")
-        history: List[EpisodeStats] = []
-        for episode in range(episodes):
-            stats = self.train_episode(env, max_steps=max_steps_per_episode)
-            history.append(stats)
-            if log_every and (episode + 1) % log_every == 0:
-                logger.info(
-                    "episode %d/%d reward=%.2f steps=%d loss=%.4f delta=%.3f",
-                    episode + 1,
-                    episodes,
-                    stats.total_reward,
-                    stats.steps,
-                    stats.mean_loss,
-                    stats.final_delta,
-                )
-        return history
-
     def train_episodes_vectorized(
         self,
         envs,
@@ -375,21 +321,22 @@ class DQNAgent:
     ) -> List[EpisodeStats]:
         """Train for ``episodes`` episodes across K environments in lockstep.
 
-        Every global step selects actions for all active environments with a
-        single batched forward pass of the online network, steps each
-        environment, and feeds the transitions to the learner.  When an
-        environment finishes an episode it is reset and keeps collecting as
-        long as episodes remain to start, so K environments stay busy until
-        the budget runs out.
+        This is the agent's one training loop; the paper's sequential
+        protocol is its K=1 case.  Every global step selects actions for all
+        active environments with a single batched forward pass of the online
+        network, steps each environment, and feeds the transitions to the
+        learner.  When an environment finishes an episode it is reset and
+        keeps collecting as long as episodes remain to start, so K
+        environments stay busy until the budget runs out.
 
         Two learning modes are supported:
 
         * **Per-transition** (``fused=False``, the default) — each of the K
           transitions triggers its own :meth:`observe_step` in environment
-          order, exactly as the sequential loop would.  With a single
-          environment this consumes the exploration/replay RNG stream in
-          exactly the order of :meth:`train`, so K=1 reproduces the
-          sequential path bit for bit.
+          order.  With a single environment the loop is the sequential one:
+          per step, the δ-greedy draw, the forward pass on exploiting steps,
+          the environment step, then :meth:`observe_step`, consuming the
+          exploration/replay RNG stream in that order.
         * **Fused global-step** (``fused=True``) — the K transitions of the
           step are written into the replay ring with one batched insertion
           (:meth:`~repro.rl.replay.ArrayReplayBuffer.add_batch`), and at most
@@ -415,7 +362,8 @@ class DQNAgent:
         episodes:
             Total number of episodes to run across all environments.
         max_steps_per_episode:
-            Per-episode step cap, as in :meth:`train_episode`.
+            Per-episode step cap; an episode ends when its environment
+            reports ``done`` or after this many steps.
         log_every:
             Episodes between progress log lines (0 disables logging).
         fused:
@@ -450,8 +398,8 @@ class DQNAgent:
             # Resolve the δ-greedy draws first: exploring rows never need a
             # forward pass, so the batched prediction below covers only the
             # exploiting rows.  The forward consumes no randomness, so with a
-            # single environment the RNG stream is identical to the
-            # sequential loop's draw-then-forward order.
+            # single environment the RNG stream follows the sequential
+            # draw-then-forward order.
             masks = vec.valid_action_masks(active)
             actions: List[Optional[int]] = [None] * len(active)
             exploit_rows: List[int] = []

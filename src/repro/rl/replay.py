@@ -1,14 +1,10 @@
-"""Experience replay buffers (paper §4.3).
+"""Experience replay buffer (paper §4.3).
 
-Two implementations share one API:
-
-* :class:`ArrayReplayBuffer` — the storage engine.  Transitions live in
-  preallocated contiguous arrays (``(capacity, *state_shape)`` for states,
-  flat arrays for actions/rewards/dones), insertion writes into the ring
-  slot in place, and :meth:`ArrayReplayBuffer.sample_arrays` is a single
-  fancy-index gather with no per-sample stacking or Python-object traffic.
-* :class:`ReplayBuffer` — a thin backward-compatible alias kept so existing
-  callers and tests continue to work unchanged.
+:class:`ArrayReplayBuffer` is the storage engine.  Transitions live in
+preallocated contiguous arrays (``(capacity, *state_shape)`` for states,
+flat arrays for actions/rewards/dones), insertion writes into the ring slot
+in place, and :meth:`ArrayReplayBuffer.sample_arrays` is a single
+fancy-index gather with no per-sample stacking or Python-object traffic.
 
 Sampling draws indices with ``rng.choice(size, batch, replace=False)`` —
 the exact call the original list-backed buffer made — so seeded runs
@@ -357,15 +353,3 @@ class ArrayReplayBuffer:
         self._size = size
         self._next_index = next_index
         set_rng_state(self._rng, state["rng"])
-
-
-class ReplayBuffer(ArrayReplayBuffer):
-    """Backward-compatible name for the array-backed replay buffer.
-
-    The original list-of-:class:`Transition` implementation was replaced by
-    :class:`ArrayReplayBuffer`; this subclass keeps the old constructor
-    signature and behaviour for existing callers.
-    """
-
-    def __init__(self, capacity: int, *, seed: RngLike = None) -> None:
-        super().__init__(capacity, seed=seed)

@@ -9,7 +9,8 @@ on the action space.
 
 The base class steps each environment with its ordinary ``step`` method,
 which keeps per-environment semantics (and numerics) exactly those of the
-sequential loop.  Domain-specific subclasses (see
+sequential loop; a one-environment ``VectorEnv`` is how the paper's
+sequential protocol is trained.  Domain-specific subclasses (see
 :class:`~repro.mcs.vector.BatchedSparseMCSVectorEnv`) override
 :meth:`VectorEnv.step_many` to batch expensive per-step work such as the
 quality-check inference across environments.

@@ -7,7 +7,7 @@ from repro.core.config import DRCellConfig
 from repro.core.drcell import DRCellAgent
 from repro.core.online import OnlineDRCellPolicy, build_online_policy
 from repro.inference.compressive import CompressiveSensingInference
-from repro.mcs.campaign import CampaignConfig, CampaignRunner
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.environment import RewardModel
 from repro.mcs.task import SensingTask
 from repro.quality.epsilon_p import QualityRequirement
@@ -81,8 +81,8 @@ class TestOnlineLearning:
             inference=CompressiveSensingInference(iterations=5, seed=0),
             assessor=OracleAssessor(dataset.data, history_window=6),
         )
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
-        return runner.run(policy, n_cycles=n_cycles)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        return runner.run([policy], n_cycles=n_cycles)[0]
 
     def test_policy_learns_during_campaign(self, tiny_temperature_dataset):
         policy = build_online_policy(tiny_temperature_dataset.n_cells, quick_config())

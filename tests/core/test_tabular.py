@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import DRCellConfig
 from repro.core.tabular import MAX_TRACTABLE_STATES, TabularDRCell
-from repro.mcs.campaign import CampaignConfig, CampaignRunner
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.task import SensingTask
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import OracleAssessor
@@ -69,7 +69,7 @@ class TestTraining:
             inference=CompressiveSensingInference(iterations=5, seed=0),
             assessor=OracleAssessor(tiny_temperature_dataset.data),
         )
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
-        result = runner.run(agent.policy(), n_cycles=3)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        result = runner.run([agent.policy()], n_cycles=3)[0]
         assert result.n_cycles == 3
         assert result.total_selected >= 3

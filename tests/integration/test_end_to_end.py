@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    BatchedCampaignRunner,
     CampaignConfig,
-    CampaignRunner,
     DRCellConfig,
     DRCellTrainer,
     QBCSelectionPolicy,
@@ -97,17 +97,17 @@ class TestTrainingPipeline:
 class TestCampaignComparison:
     @pytest.fixture(scope="class")
     def outcomes(self, pipeline):
-        runner = CampaignRunner(
+        runner = BatchedCampaignRunner(
             pipeline["task"], CampaignConfig(min_cells_per_cycle=2, assess_every=2, history_window=6)
         )
         n_cycles = 6
         return {
-            "DR-Cell": runner.run(DRCellPolicy(pipeline["agent"]), n_cycles=n_cycles),
-            "RANDOM": runner.run(RandomSelectionPolicy(seed=1), n_cycles=n_cycles),
+            "DR-Cell": runner.run([DRCellPolicy(pipeline["agent"])], n_cycles=n_cycles)[0],
+            "RANDOM": runner.run([RandomSelectionPolicy(seed=1)], n_cycles=n_cycles)[0],
             "QBC": runner.run(
-                QBCSelectionPolicy(coordinates=pipeline["test"].coordinates, seed=2, history_window=6),
+                [QBCSelectionPolicy(coordinates=pipeline["test"].coordinates, seed=2, history_window=6)],
                 n_cycles=n_cycles,
-            ),
+            )[0],
         }
 
     def test_every_policy_produces_full_campaign(self, outcomes):
@@ -144,8 +144,8 @@ class TestOracleCampaignQuality:
             inference=CompressiveSensingInference(iterations=6, seed=0),
             assessor=OracleAssessor(test_set.data, history_window=6),
         )
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
-        result = runner.run(RandomSelectionPolicy(seed=3), n_cycles=5)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        result = runner.run([RandomSelectionPolicy(seed=3)], n_cycles=5)[0]
         for record in result.records:
             if record.assessed_satisfied:
                 assert record.true_error <= pipeline["requirement"].epsilon + 1e-9
@@ -174,6 +174,6 @@ class TestTransferPipeline:
             inference=CompressiveSensingInference(iterations=6, seed=0),
             assessor=LeaveOneOutBayesianAssessor(min_observations=2, max_loo_cells=4),
         )
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=2))
-        result = runner.run(DRCellPolicy(agent, name="TRANSFER"), n_cycles=3)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=2))
+        result = runner.run([DRCellPolicy(agent, name="TRANSFER")], n_cycles=3)[0]
         assert result.n_cycles == 3

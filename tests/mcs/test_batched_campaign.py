@@ -7,12 +7,14 @@ import pytest
 
 from repro.inference.compressive import CompressiveSensingInference
 from repro.inference.interpolation import SpatialMeanInference
-from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig, CampaignRunner
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.random_policy import RandomSelectionPolicy
 from repro.mcs.task import SensingTask
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor, OracleAssessor
+
+from tests.mcs.reference import run_campaign
 
 
 class FirstKPolicy(CellSelectionPolicy):
@@ -56,12 +58,15 @@ def records_equal(a, b):
 
 
 class TestBatchedCampaignParity:
+    """The lockstep runner reproduces the plain cycle loop of ``tests/mcs/reference.py``."""
+
     def test_single_slot_matches_sequential_runner_exactly(self, tiny_temperature_dataset):
-        """With a no-batch inference the lockstep runner is bit-exact with
-        CampaignRunner: same selections, same verdicts, same errors."""
+        """With a no-batch inference a one-slot lockstep run is bit-exact with
+        the reference loop: same selections, same verdicts, same errors, same
+        inferred matrix."""
         config = CampaignConfig(min_cells_per_cycle=2, assess_every=1)
-        sequential = CampaignRunner(make_task(tiny_temperature_dataset), config).run(
-            FirstKPolicy(), n_cycles=4
+        sequential = run_campaign(
+            make_task(tiny_temperature_dataset), config, FirstKPolicy(), n_cycles=4
         )
         batched = BatchedCampaignRunner(make_task(tiny_temperature_dataset), config).run(
             [FirstKPolicy()], n_cycles=4
@@ -69,45 +74,29 @@ class TestBatchedCampaignParity:
         assert len(sequential.records) == len(batched.records)
         for record_a, record_b in zip(sequential.records, batched.records):
             assert records_equal(record_a, record_b)
-        assert np.allclose(sequential.inferred_matrix, batched.inferred_matrix)
+        assert np.array_equal(sequential.inferred_matrix, batched.inferred_matrix)
 
     def test_multi_slot_matches_per_slot_sequential_runs(self, tiny_temperature_dataset):
-        """P lockstep slots reproduce P independent sequential campaigns when
-        the completions are bit-exact (sequential complete_batch fallback)."""
+        """P lockstep slots reproduce P reference campaigns run one after
+        another (sequential complete_batch fallback), whether the slots share
+        one task or each carries its own."""
         config = CampaignConfig(min_cells_per_cycle=2, assess_every=2)
-        policies = [FirstKPolicy(), LastKPolicy(), RandomSelectionPolicy(seed=3)]
-        batched_results = BatchedCampaignRunner(
-            make_task(tiny_temperature_dataset), config
-        ).run(policies, n_cycles=4)
 
-        fresh_policies = [FirstKPolicy(), LastKPolicy(), RandomSelectionPolicy(seed=3)]
-        for policy, batched in zip(fresh_policies, batched_results):
-            sequential = CampaignRunner(make_task(tiny_temperature_dataset), config).run(
-                policy, n_cycles=4
-            )
-            for record_a, record_b in zip(sequential.records, batched.records):
-                assert records_equal(record_a, record_b)
+        def policies():
+            return [FirstKPolicy(), LastKPolicy(), RandomSelectionPolicy(seed=3)]
 
-    def test_batched_als_agrees_with_sequential_on_aggregates(
-        self, tiny_temperature_dataset
-    ):
-        """With the vectorized ALS the verdicts may differ within tolerance;
-        the campaign-level statistics must stay in the same regime."""
-        config = CampaignConfig(min_cells_per_cycle=2, assess_every=1)
-
-        def inference():
-            return CompressiveSensingInference(iterations=6, seed=0)
-
-        sequential = CampaignRunner(
-            make_task(tiny_temperature_dataset, inference=inference()), config
-        ).run(FirstKPolicy(), n_cycles=4)
-        batched = BatchedCampaignRunner(
-            make_task(tiny_temperature_dataset, inference=inference()), config
-        ).run([FirstKPolicy()], n_cycles=4)[0]
-        assert batched.n_cycles == sequential.n_cycles
-        assert abs(
-            batched.mean_selected_per_cycle - sequential.mean_selected_per_cycle
-        ) <= 2.0
+        shared_task = make_task(tiny_temperature_dataset)
+        distinct_tasks = [make_task(tiny_temperature_dataset) for _ in policies()]
+        for tasks in (shared_task, distinct_tasks):
+            batched_results = BatchedCampaignRunner(tasks, config).run(policies(), n_cycles=4)
+            for policy, batched in zip(policies(), batched_results):
+                sequential = run_campaign(
+                    make_task(tiny_temperature_dataset), config, policy, n_cycles=4
+                )
+                assert len(sequential.records) == len(batched.records)
+                for record_a, record_b in zip(sequential.records, batched.records):
+                    assert records_equal(record_a, record_b)
+                assert np.array_equal(sequential.inferred_matrix, batched.inferred_matrix)
 
 
 class TestBatchedCampaignRunner:
@@ -165,7 +154,7 @@ class TestWindowMismatchGuard:
             assessor=LeaveOneOutBayesianAssessor(history_window=4),
         )
         with caplog.at_level(logging.WARNING, logger="repro.mcs.campaign"):
-            CampaignRunner(task, CampaignConfig(history_window=24))
+            BatchedCampaignRunner(task, CampaignConfig(history_window=24))
         assert any("history_window" in message for message in caplog.messages)
 
     def test_silent_when_windows_agree(self, tiny_temperature_dataset, caplog):
@@ -174,17 +163,22 @@ class TestWindowMismatchGuard:
             assessor=LeaveOneOutBayesianAssessor(history_window=24),
         )
         with caplog.at_level(logging.WARNING, logger="repro.mcs.campaign"):
-            CampaignRunner(task, CampaignConfig(history_window=24))
             BatchedCampaignRunner(task, CampaignConfig(history_window=24))
+            BatchedCampaignRunner([task, task], CampaignConfig(history_window=24))
         assert not caplog.messages
 
     def test_batched_runner_warns_too(self, tiny_temperature_dataset, caplog):
-        task = make_task(
+        """Each distinct task of a multi-slot runner is checked."""
+        agreeing = make_task(
+            tiny_temperature_dataset,
+            assessor=LeaveOneOutBayesianAssessor(history_window=24),
+        )
+        mismatched = make_task(
             tiny_temperature_dataset,
             assessor=LeaveOneOutBayesianAssessor(history_window=4),
         )
         with caplog.at_level(logging.WARNING, logger="repro.mcs.campaign"):
-            BatchedCampaignRunner(task, CampaignConfig(history_window=24))
+            BatchedCampaignRunner([agreeing, mismatched], CampaignConfig(history_window=24))
         assert any("history_window" in message for message in caplog.messages)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.inference.base import InferenceAlgorithm
 from repro.inference.compressive import CompressiveSensingInference
-from repro.mcs.campaign import CampaignConfig, CampaignRunner
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig
 from repro.mcs.policies import CellSelectionPolicy
 from repro.mcs.random_policy import RandomSelectionPolicy
 from repro.mcs.task import SensingTask
@@ -71,8 +71,8 @@ def make_task(dataset, assessor, inference=None):
 class TestAssessorBehaviour:
     def test_always_fail_assessor_forces_full_coverage(self, tiny_temperature_dataset):
         task = make_task(tiny_temperature_dataset, AlwaysFailAssessor())
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
-        result = runner.run(RandomSelectionPolicy(seed=0), n_cycles=2)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        result = runner.run([RandomSelectionPolicy(seed=0)], n_cycles=2)[0]
         assert all(
             record.n_selected == tiny_temperature_dataset.n_cells for record in result.records
         )
@@ -82,8 +82,8 @@ class TestAssessorBehaviour:
 
     def test_always_pass_assessor_stops_at_minimum(self, tiny_temperature_dataset):
         task = make_task(tiny_temperature_dataset, AlwaysPassAssessor())
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=1))
-        result = runner.run(RandomSelectionPolicy(seed=0), n_cycles=3)
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=3, assess_every=1))
+        result = runner.run([RandomSelectionPolicy(seed=0)], n_cycles=3)[0]
         assert all(record.n_selected == 3 for record in result.records)
         assert all(record.assessed_satisfied for record in result.records)
 
@@ -91,15 +91,15 @@ class TestAssessorBehaviour:
 class TestMisbehavingPolicies:
     def test_repeating_policy_is_rejected(self, tiny_temperature_dataset):
         task = make_task(tiny_temperature_dataset, AlwaysFailAssessor())
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
         with pytest.raises(ValueError, match="already sensed"):
-            runner.run(RepeatingPolicy(), n_cycles=1)
+            runner.run([RepeatingPolicy()], n_cycles=1)
 
     def test_out_of_range_policy_is_rejected(self, tiny_temperature_dataset):
         task = make_task(tiny_temperature_dataset, AlwaysPassAssessor())
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
         with pytest.raises(ValueError, match="out of range"):
-            runner.run(OutOfRangePolicy(), n_cycles=1)
+            runner.run([OutOfRangePolicy()], n_cycles=1)
 
 
 class TestFailingInference:
@@ -107,6 +107,6 @@ class TestFailingInference:
         task = make_task(
             tiny_temperature_dataset, AlwaysPassAssessor(), inference=ExplodingInference()
         )
-        runner = CampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
+        runner = BatchedCampaignRunner(task, CampaignConfig(min_cells_per_cycle=2, assess_every=1))
         with pytest.raises(RuntimeError, match="inference backend unavailable"):
-            runner.run(RandomSelectionPolicy(seed=0), n_cycles=1)
+            runner.run([RandomSelectionPolicy(seed=0)], n_cycles=1)

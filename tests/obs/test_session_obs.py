@@ -129,7 +129,7 @@ class TestObservedSessionExports:
 
     def test_profiled_phases_cover_the_hot_paths(self, observed):
         phases = observed["obs"].profiler.as_dict()
-        for name in ("train.episode", "loo.assess", "als.solve_stacked"):
+        for name in ("train.lockstep", "loo.assess", "als.solve_stacked"):
             assert phases[name]["count"] > 0
 
     def test_snapshot_round_trips_to_the_same_exposition(self, observed):

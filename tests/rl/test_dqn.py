@@ -9,6 +9,8 @@ from repro.rl.drqn import build_dqn_agent, build_drqn_agent
 from repro.rl.environment import Environment, Transition
 from repro.rl.schedules import ConstantSchedule
 
+from tests.rl.reference import assert_same_weights, train_sequential
+
 
 class TwoArmBandit(Environment):
     """A contextual two-step environment where action 1 is always better."""
@@ -199,14 +201,14 @@ class TestLearning:
             seed=0,
         )
         env = TwoArmBandit(window=1, cells=2)
-        agent.train(env, episodes=15, log_every=0)
+        agent.train_episodes_vectorized([env], episodes=15, log_every=0)
         q = agent.q_values(np.zeros((1, 2)))
         assert q[1] > q[0]
 
     def test_train_returns_one_stats_per_episode(self):
         agent = build_dqn_agent(2, 1, hidden_dims=(8,), config=tiny_config(), seed=0)
         env = TwoArmBandit(window=1, cells=2, episode_length=5)
-        history = agent.train(env, episodes=3, log_every=0)
+        history = agent.train_episodes_vectorized([env], episodes=3, log_every=0)
         assert len(history) == 3
         assert all(stats.steps == 5 for stats in history)
 
@@ -224,9 +226,7 @@ class TestVectorizedTraining:
 
     def test_k1_matches_sequential_bitwise(self):
         sequential = self._fresh_agent()
-        history_seq = sequential.train(
-            TwoArmBandit(episode_length=12), episodes=6, log_every=0
-        )
+        history_seq = train_sequential(sequential, TwoArmBandit(episode_length=12), 6)
         vectorized = self._fresh_agent()
         from repro.rl.vector_env import VectorEnv
 
@@ -235,9 +235,7 @@ class TestVectorizedTraining:
         )
         assert [s.total_reward for s in history_seq] == [s.total_reward for s in history_vec]
         assert [s.steps for s in history_seq] == [s.steps for s in history_vec]
-        for layer_seq, layer_vec in zip(sequential.get_weights(), vectorized.get_weights()):
-            for name in layer_seq:
-                assert np.array_equal(layer_seq[name], layer_vec[name])
+        assert_same_weights(sequential, vectorized)
 
     def test_k3_runs_requested_episode_budget(self):
         agent = self._fresh_agent()

@@ -3,8 +3,8 @@
 Three contracts:
 
 * ``fused=False`` (the default) at K=1 stays bit-exact with the sequential
-  :meth:`DQNAgent.train` loop — the fused code path must not perturb the
-  per-transition protocol.
+  reference loop (``tests/rl/reference.py``) — the fused code path must not
+  perturb the per-transition protocol.
 * ``fused=True`` learns at global-step granularity: exactly one minibatch
   update per lockstep step, spanning all K fresh transitions.
 * Fused training is statistically equivalent to the per-transition path:
@@ -21,6 +21,8 @@ from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.environment import Environment
 from repro.rl.schedules import LinearDecaySchedule
 from repro.rl.vector_env import VectorEnv
+
+from tests.rl.reference import train_sequential
 
 
 class BanditChain(Environment):
@@ -85,7 +87,7 @@ class TestFusedOffParity:
     def test_k1_fused_off_bitwise_identical_to_sequential(self):
         """The fused branch must leave the default path untouched."""
         sequential = _agent(_config())
-        history_seq = sequential.train(BanditChain(), 4, log_every=0)
+        history_seq = train_sequential(sequential, BanditChain(), 4)
 
         vectorized = _agent(_config())
         history_vec = vectorized.train_episodes_vectorized(

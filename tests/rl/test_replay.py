@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rl.environment import Transition
-from repro.rl.replay import ArrayReplayBuffer, ReplayBuffer
+from repro.rl.replay import ArrayReplayBuffer
 from repro.utils.seeding import as_rng
 
 
@@ -43,55 +43,55 @@ def make_transition(index, done=False):
 
 class TestAdd:
     def test_length_grows_until_capacity(self):
-        buffer = ReplayBuffer(5, seed=0)
+        buffer = ArrayReplayBuffer(5, seed=0)
         for i in range(8):
             buffer.add(make_transition(i))
         assert len(buffer) == 5
         assert buffer.is_full
 
     def test_oldest_evicted_first(self):
-        buffer = ReplayBuffer(3, seed=0)
+        buffer = ArrayReplayBuffer(3, seed=0)
         for i in range(5):
             buffer.add(make_transition(i))
         stored = {t.info["i"] for t in buffer}
         assert stored == {2, 3, 4}
 
     def test_rejects_non_transition(self):
-        buffer = ReplayBuffer(3, seed=0)
+        buffer = ArrayReplayBuffer(3, seed=0)
         with pytest.raises(TypeError):
             buffer.add((np.zeros(2), 0, 0.0, np.zeros(2), False))
 
     def test_extend(self):
-        buffer = ReplayBuffer(10, seed=0)
+        buffer = ArrayReplayBuffer(10, seed=0)
         buffer.extend([make_transition(i) for i in range(4)])
         assert len(buffer) == 4
 
     def test_invalid_capacity_raises(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0)
+            ArrayReplayBuffer(0)
 
 
 class TestSample:
     def test_sample_size_respected(self):
-        buffer = ReplayBuffer(10, seed=0)
+        buffer = ArrayReplayBuffer(10, seed=0)
         buffer.extend([make_transition(i) for i in range(10)])
         assert len(buffer.sample(4)) == 4
 
     def test_sample_without_duplicates(self):
-        buffer = ReplayBuffer(10, seed=0)
+        buffer = ArrayReplayBuffer(10, seed=0)
         buffer.extend([make_transition(i) for i in range(10)])
         sampled = buffer.sample(10)
         indices = [t.info["i"] for t in sampled]
         assert sorted(indices) == list(range(10))
 
     def test_sampling_more_than_stored_raises(self):
-        buffer = ReplayBuffer(10, seed=0)
+        buffer = ArrayReplayBuffer(10, seed=0)
         buffer.add(make_transition(0))
         with pytest.raises(ValueError):
             buffer.sample(2)
 
     def test_sample_arrays_shapes(self):
-        buffer = ReplayBuffer(10, seed=0)
+        buffer = ArrayReplayBuffer(10, seed=0)
         buffer.extend([make_transition(i, done=(i % 2 == 0)) for i in range(6)])
         states, actions, rewards, next_states, dones = buffer.sample_arrays(4)
         assert states.shape == (4, 2, 3)
@@ -102,7 +102,7 @@ class TestSample:
 
     def test_sampling_is_seed_deterministic(self):
         def collect(seed):
-            buffer = ReplayBuffer(20, seed=seed)
+            buffer = ArrayReplayBuffer(20, seed=seed)
             buffer.extend([make_transition(i) for i in range(20)])
             return [t.info["i"] for t in buffer.sample(5)]
 
@@ -111,7 +111,7 @@ class TestSample:
 
 class TestClear:
     def test_clear_empties_buffer(self):
-        buffer = ReplayBuffer(5, seed=0)
+        buffer = ArrayReplayBuffer(5, seed=0)
         buffer.extend([make_transition(i) for i in range(5)])
         buffer.clear()
         assert len(buffer) == 0
@@ -226,7 +226,7 @@ class TestProperty:
     @given(capacity=st.integers(1, 30), inserts=st.integers(0, 80))
     @settings(max_examples=30, deadline=None)
     def test_length_never_exceeds_capacity(self, capacity, inserts):
-        buffer = ReplayBuffer(capacity, seed=0)
+        buffer = ArrayReplayBuffer(capacity, seed=0)
         for i in range(inserts):
             buffer.add(make_transition(i))
         assert len(buffer) == min(capacity, inserts)
@@ -234,7 +234,7 @@ class TestProperty:
     @given(capacity=st.integers(1, 20), inserts=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_buffer_keeps_most_recent_transitions(self, capacity, inserts):
-        buffer = ReplayBuffer(capacity, seed=0)
+        buffer = ArrayReplayBuffer(capacity, seed=0)
         for i in range(inserts):
             buffer.add(make_transition(i))
         kept = sorted(t.info["i"] for t in buffer)
