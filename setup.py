@@ -1,8 +1,9 @@
 """Legacy setup shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-only so that ``pip install -e .`` keeps working on environments without the
-``wheel`` package (legacy editable installs go through ``setup.py develop``).
+The project metadata lives in ``pyproject.toml``, which ``pip install .``
+and ``pip install -e .`` read through the setuptools build backend.  This
+file only serves tools that still call ``setup.py`` directly, such as
+``python setup.py --version``.
 """
 
 from setuptools import setup

@@ -223,7 +223,7 @@ class Session:
         lockstep through the vectorized engine, then binds it to all of them.
 
         ``obs`` (optional, a :class:`repro.obs.Observability`) activates its
-        profiler for the duration of training and mirrors every run's
+        profiler for the duration of training and writes every run's
         :class:`~repro.core.trainer.TrainingReport` into its metrics registry
         as ``repro_train_*`` (labelled by the run's slot names).  Purely
         observational — trained weights are bitwise identical with or
@@ -233,7 +233,7 @@ class Session:
             with obs.profiling():
                 report = self._train(episodes=episodes)
             for run, training in report.reports.items():
-                obs.observe_training(training, run=run)
+                training.write_to(obs.registry, run=run)
             obs.finalize()
             return report
         return self._train(episodes=episodes)
@@ -381,7 +381,7 @@ class Session:
             submitted, its profiler is active while the drive runs, its
             registry is refreshed from live server stats every
             ``obs.snapshot_every`` cycle barriers (the drive's quiescent
-            points), and after the drive it ingests the final server stats
+            points), and after the drive it receives the final server stats
             plus every slot's ALS solver counters.  Purely observational:
             journals, checkpoints, and campaign results are bitwise
             identical with or without it.
@@ -486,8 +486,8 @@ class Session:
         if journal is not None:
             journal.finalize(server.stats)
         if obs is not None:
-            obs.observe_server(server.stats)
-            self._observe_solvers(obs)
+            server.stats.write_to(obs.registry)
+            self._write_solver_stats(obs.registry)
             obs.finalize()
         logger.info(
             "scenario %s served %d campaign(s): %s",
@@ -578,12 +578,12 @@ class Session:
         )
         return report, server.stats
 
-    def _observe_solvers(self, obs: "Observability") -> None:
-        """Mirror the slots' ALS solver counters into ``obs``, summed.
+    def _write_solver_stats(self, registry) -> None:
+        """Write the slots' ALS solver counters into ``registry``, summed.
 
         Slots may share inference instances (scenario-level components) or
         pin their own; each distinct instance's counters are added once, so
-        the mirrored ``repro_als_*`` totals count its work exactly once.
+        the written ``repro_als_*`` totals count its work exactly once.
         """
         total = SolverStats()
         seen: set = set()
@@ -593,10 +593,12 @@ class Session:
             if stats is None or id(inference) in seen:
                 continue
             seen.add(id(inference))
-            for attr, value in stats.as_dict().items():
-                setattr(total, attr, getattr(total, attr) + int(value))
+            total.solves += stats.solves
+            total.matrices += stats.matrices
+            total.sweeps_run += stats.sweeps_run
+            total.sweeps_saved += stats.sweeps_saved
         if seen:
-            obs.observe_solver(total)
+            total.write_to(registry)
 
     def _serve_knobs(
         self, server: "DecisionServer", *, n_cycles: Optional[int], replicas: int

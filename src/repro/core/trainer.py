@@ -54,6 +54,28 @@ class TrainingReport:
         of the paper's headline metric)."""
         return self.episode_selections[-1] if self.episode_selections else float("nan")
 
+    def write_to(self, registry, *, run: str = "train") -> None:
+        """Write this run into ``registry`` as ``repro_train_*`` metrics labelled ``run``."""
+        registry.counter(
+            "repro_train_episodes_total", "Training episodes completed"
+        ).set_total(self.episodes, run=run)
+        registry.counter(
+            "repro_train_steps_total", "Environment steps taken during training"
+        ).set_total(self.total_steps, run=run)
+        registry.gauge(
+            "repro_train_wall_clock_seconds", "Training wall-clock seconds"
+        ).set(self.wall_clock_seconds, run=run)
+        if self.wall_clock_seconds > 0:
+            registry.gauge(
+                "repro_train_steps_per_second", "Training throughput (steps/s)"
+            ).set(self.total_steps / self.wall_clock_seconds, run=run)
+        if self.episode_rewards:
+            # sum / len, not np.mean (mean_episode_reward): the two can
+            # differ in the last bit, and the exported value is pinned.
+            registry.gauge(
+                "repro_train_mean_episode_reward", "Mean episode reward"
+            ).set(sum(self.episode_rewards) / len(self.episode_rewards), run=run)
+
 
 class DRCellTrainer:
     """Builds the training environment and runs the deep Q-learning loop.

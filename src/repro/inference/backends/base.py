@@ -23,7 +23,7 @@ early-exit entirely, which keeps the fixed-budget protocol bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,23 +65,21 @@ class SolverStats:
         self.sweeps_run = 0
         self.sweeps_saved = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "solves": self.solves,
-            "matrices": self.matrices,
-            "sweeps_run": self.sweeps_run,
-            "sweeps_saved": self.sweeps_saved,
-        }
-
-    def metrics(self) -> Dict[str, object]:
-        """The canonical ``repro_als_*`` metric view of these counters.
-
-        Flat sample keys identical to what :mod:`repro.obs` exports;
-        :meth:`as_dict` remains the backwards-compatible legacy shape.
-        """
-        from repro.obs.adapters import solver_stats_metrics
-
-        return solver_stats_metrics(self)
+    def write_to(self, registry) -> None:
+        """Write these counters into ``registry`` as ``repro_als_*`` totals."""
+        registry.counter("repro_als_solves_total", "ALS kernel solve calls").set_total(
+            self.solves
+        )
+        registry.counter("repro_als_matrices_total", "Matrices completed").set_total(
+            self.matrices
+        )
+        registry.counter("repro_als_sweeps_run_total", "ALS sweeps executed").set_total(
+            self.sweeps_run
+        )
+        registry.counter(
+            "repro_als_sweeps_saved_total",
+            "Budgeted sweeps skipped by convergence early-exit",
+        ).set_total(self.sweeps_saved)
 
 
 def factor_delta(

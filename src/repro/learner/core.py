@@ -308,16 +308,9 @@ class Learner:
             "replay": self.replay.telemetry(),
         }
 
-    def metrics(self, *, learner: Optional[str] = None) -> Dict[str, object]:
-        """The canonical ``repro_learner_*`` metric view of :meth:`telemetry`.
-
-        Flat sample keys identical to what :mod:`repro.obs` exports
-        (optionally labelled with the server-side learner id);
-        :meth:`telemetry` remains the backwards-compatible nested shape.
-        """
-        from repro.obs.adapters import learner_metrics
-
-        return learner_metrics(self.telemetry(), learner=learner)
+    def write_to(self, registry, *, learner: str = "learner-0") -> None:
+        """Write :meth:`telemetry` into ``registry`` (see :func:`write_telemetry`)."""
+        write_telemetry(registry, self.telemetry(), learner=learner)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -325,3 +318,82 @@ class Learner:
             f"total_steps={self.agent.agent.total_steps}, "
             f"mode={'sync' if self.config.synchronous else 'fused'})"
         )
+
+
+#: ``(section, key) -> (metric, help)``: the :meth:`Learner.telemetry` entries
+#: written as ``repro_learner_*`` gauges; a ``None`` section is the top level.
+_TELEMETRY_GAUGES = {
+    (None, "total_steps"): (
+        "repro_learner_total_steps",
+        "Agent environment steps observed",
+    ),
+    (None, "learn_steps"): (
+        "repro_learner_learn_steps",
+        "Fused minibatch updates applied",
+    ),
+    ("weights", "version"): (
+        "repro_learner_weights_version",
+        "Published weight version",
+    ),
+    ("weights", "publishes"): (
+        "repro_learner_weights_publishes_total",
+        "Weight publications",
+    ),
+    ("weights", "pulls"): (
+        "repro_learner_weights_pulls_total",
+        "Weight pulls by actors",
+    ),
+    ("weights", "stale_pulls"): (
+        "repro_learner_weights_stale_pulls_total",
+        "Pulls that observed an outdated version",
+    ),
+    ("weights", "mean_versions_behind"): (
+        "repro_learner_weights_mean_versions_behind",
+        "Mean staleness of pulled weights (versions)",
+    ),
+    ("weights", "max_versions_behind"): (
+        "repro_learner_weights_max_versions_behind",
+        "Worst staleness of pulled weights (versions)",
+    ),
+    ("replay", "capacity"): (
+        "repro_learner_replay_capacity",
+        "Shared replay buffer capacity",
+    ),
+    ("replay", "size"): ("repro_learner_replay_size", "Transitions currently buffered"),
+    ("replay", "batches"): (
+        "repro_learner_replay_batches_total",
+        "Transition batches ingested",
+    ),
+    ("replay", "transitions"): (
+        "repro_learner_replay_transitions_total",
+        "Transitions ingested across campaigns",
+    ),
+}
+
+
+def write_telemetry(registry, telemetry: Dict[str, object], *, learner: str) -> None:
+    """Write one :meth:`Learner.telemetry` dict into ``registry``.
+
+    Every gauge is labelled ``learner``; replay occupancy (size / capacity)
+    and the per-campaign transition counts are derived here.  This is also
+    how :class:`~repro.serve.stats.ServerStats` writes its ``learners``
+    entries, which are :meth:`Learner.telemetry` snapshots.
+    """
+    for (section, key), (name, help_text) in _TELEMETRY_GAUGES.items():
+        source = telemetry if section is None else telemetry[section]
+        registry.gauge(name, help_text).set(source[key], learner=learner)
+    replay = telemetry["replay"]
+    registry.gauge(
+        "repro_learner_replay_occupancy",
+        "Replay buffer fill fraction (size / capacity)",
+    ).set(replay["size"] / replay["capacity"], learner=learner)
+    campaigns = replay["campaigns"]
+    if campaigns:
+        per_campaign = registry.gauge(
+            "repro_learner_replay_campaign_transitions",
+            "Transitions ingested per campaign",
+        )
+        for campaign in sorted(campaigns):
+            per_campaign.set(
+                campaigns[campaign]["transitions"], learner=learner, campaign=campaign
+            )

@@ -3,8 +3,10 @@
 One package, three observational instruments:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters, gauges,
-  and fixed-bucket histograms under the canonical ``repro_*`` namespaces,
-  filled by the duck-typed adapters in :mod:`repro.obs.adapters`;
+  and fixed-bucket histograms under the canonical ``repro_*`` namespaces.
+  Each telemetry source writes itself into a registry it is handed:
+  ``ServerStats.write_to``, ``SolverStats.write_to``, ``Learner.write_to``,
+  ``TrainingReport.write_to`` and :meth:`Profiler.write_to`;
 * :mod:`repro.obs.trace` — a :class:`Tracer` following every served request
   from :meth:`MicroBatcher.submit` through batch fusion to its response,
   exported as Chrome trace-event JSON;
@@ -29,16 +31,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 from contextlib import contextmanager
 
-from repro.obs.adapters import (
-    ingest_learner,
-    ingest_server_stats,
-    ingest_solver_stats,
-    ingest_training_report,
-    learner_metrics,
-    server_stats_metrics,
-    solver_stats_metrics,
-    training_report_metrics,
-)
 from repro.obs.export import (
     parse_prometheus,
     registry_from_snapshot,
@@ -72,14 +64,6 @@ __all__ = [
     "save_snapshot",
     "registry_from_snapshot",
     "validate_chrome_trace",
-    "ingest_server_stats",
-    "ingest_solver_stats",
-    "ingest_learner",
-    "ingest_training_report",
-    "server_stats_metrics",
-    "solver_stats_metrics",
-    "learner_metrics",
-    "training_report_metrics",
 ]
 
 
@@ -94,7 +78,7 @@ class Observability:
         Whether :func:`phase` timers record while the session runs (a
         :class:`Profiler`, fed into the tracer when both are enabled).
     snapshot_every:
-        If > 0, :meth:`repro.api.session.Session.serve` re-ingests server
+        If > 0, :meth:`repro.api.session.Session.serve` re-writes server
         stats into the registry every that-many cycle barriers (the stack's
         quiescent points), so long sessions expose fresh metrics mid-run
         rather than only at the end.
@@ -115,31 +99,13 @@ class Observability:
         self.snapshot_every = int(snapshot_every)
         self.snapshots_taken = 0
 
-    # -- ingestion ---------------------------------------------------------------
-
-    def observe_server(self, stats: Any) -> None:
-        """Mirror a :class:`ServerStats` (and its learners) into the registry."""
-        ingest_server_stats(self.registry, stats)
-
-    def observe_solver(self, solver_stats: Any) -> None:
-        """Mirror a :class:`SolverStats` into the registry."""
-        ingest_solver_stats(self.registry, solver_stats)
-
-    def observe_learner(self, telemetry: Any, *, learner: str = "learner-0") -> None:
-        """Mirror one learner telemetry snapshot into the registry."""
-        ingest_learner(self.registry, telemetry, learner=learner)
-
-    def observe_training(self, report: Any, *, run: str = "train") -> None:
-        """Mirror a :class:`TrainingReport` into the registry."""
-        ingest_training_report(self.registry, report, run=run)
-
     def on_cycle_barrier(self, server: Any) -> None:
         """The session's barrier hook: periodic registry refresh from live stats."""
         if self.snapshot_every <= 0:
             return
         self.snapshots_taken += 1
         if self.snapshots_taken % self.snapshot_every == 0:
-            self.observe_server(server.stats)
+            server.stats.write_to(self.registry)
 
     @contextmanager
     def profiling(self) -> Iterator["Observability"]:
@@ -153,7 +119,7 @@ class Observability:
     def finalize(self) -> None:
         """Fold profiler phase totals into the registry (call once, at the end)."""
         if self.profiler is not None:
-            self.profiler.ingest(self.registry)
+            self.profiler.write_to(self.registry)
 
     # -- export ------------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The obs metrics core: counters, gauges, histograms in one string-keyed registry.
 
-The serving stack's telemetry grew organically — :class:`~repro.serve.stats.
-ServerStats` counters, :class:`~repro.inference.backends.base.SolverStats`,
-:meth:`~repro.learner.core.Learner.telemetry` — each speaking its own
-dialect.  This module is the convergence point: a
+Each telemetry source — :class:`~repro.serve.stats.ServerStats`,
+:class:`~repro.inference.backends.base.SolverStats`,
+:class:`~repro.learner.core.Learner`, the trainer's ``TrainingReport`` and
+the :class:`~repro.obs.profile.Profiler` — writes itself into a registry
+through its ``write_to(registry)`` method.  A
 :class:`MetricsRegistry` holds every metric under one ``repro_*`` namespace
 (``repro_serve_*``, ``repro_als_*``, ``repro_learner_*``, ``repro_train_*``),
 string-keyed exactly like :class:`repro.api.registry.Registry` keys
@@ -14,8 +15,8 @@ Three metric types cover everything the stack reports:
 
 * :class:`Counter` — a monotonically increasing total (requests served,
   cache hits).  ``set_total`` exists because most of the stack already keeps
-  its own counters; adapters *mirror* those into the registry rather than
-  double-count.
+  its own counters; ``write_to`` *mirrors* those into the registry rather
+  than double-count.
 * :class:`Gauge` — a value that goes up and down (replay occupancy, weight
   version, steps/s).
 * :class:`Histogram` — observations bucketed into **fixed** upper-bound
@@ -35,7 +36,7 @@ exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.timing import monotonic
 
@@ -110,7 +111,7 @@ class Metric:
             yield key, self._series[key]
 
     def reset(self) -> None:
-        """Drop every series — used by adapters that mirror a rolling window."""
+        """Drop every series — used when mirroring a rolling window (latencies)."""
         self._series.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -213,16 +214,28 @@ class Histogram(Metric):
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation into the labelled series."""
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """Record every value of ``values``, in order, into one labelled series.
+
+        The label set is resolved once, so rebuilding a histogram from a
+        sample window costs one bucket search per value.  As with
+        :meth:`observe`, a label set's series appears with its first value.
+        """
+        values = [float(value) for value in values]
+        if not values:
+            return
         series = self._series_for(labels)
-        value = float(value)
-        index = len(self.buckets)  # the +Inf bucket
-        for i, edge in enumerate(self.buckets):
-            if value <= edge:
-                index = i
-                break
-        series.counts[index] += 1  # type: ignore[union-attr]
-        series.sum += value  # type: ignore[union-attr]
-        series.count += 1  # type: ignore[union-attr]
+        for value in values:
+            index = len(self.buckets)  # the +Inf bucket
+            for i, edge in enumerate(self.buckets):
+                if value <= edge:
+                    index = i
+                    break
+            series.counts[index] += 1  # type: ignore[union-attr]
+            series.sum += value  # type: ignore[union-attr]
+            series.count += 1  # type: ignore[union-attr]
 
     def time(self, **labels: object):
         """Context manager observing the elapsed :func:`monotonic` seconds."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.timing import monotonic
 
 __all__ = ["Profiler", "phase"]
@@ -135,13 +136,12 @@ class Profiler:
         """Total seconds accumulated under ``name`` (0.0 if never)."""
         return float(self._phases.get(name, (0, 0.0))[1])
 
-    def ingest(self, registry: object) -> None:
-        """Mirror the phase totals into a metrics registry.
+    def write_to(self, registry: MetricsRegistry) -> None:
+        """Write the phase totals into ``registry``.
 
         ``repro_profile_phase_total{phase=...}`` /
         ``repro_profile_phase_seconds_total{phase=...}`` counters, one pair
-        per phase; ``registry`` is a
-        :class:`~repro.obs.metrics.MetricsRegistry`.
+        per phase.
         """
         counts = registry.counter(
             "repro_profile_phase_total", "Times each profiled phase ran"

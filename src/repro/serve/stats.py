@@ -1,6 +1,7 @@
 """Server telemetry: request counts, batch occupancy, latency, cache hit rate.
 
-Two reporting views coexist:
+:meth:`ServerStats.write_to` writes the telemetry into a metrics registry as
+``repro_serve_*`` metrics.  Two dict views coexist:
 
 * :meth:`ServerStats.as_dict` — the full operational snapshot, including
   wall-clock latency percentiles measured with
@@ -14,6 +15,7 @@ Two reporting views coexist:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -373,16 +375,80 @@ class ServerStats:
             for kind, stats in self.endpoints.items()
         ]
 
-    def metrics(self) -> Dict[str, object]:
-        """The canonical ``repro_serve_*`` metric view of this snapshot.
+    def write_to(self, registry) -> None:
+        """Write this snapshot into ``registry`` as ``repro_serve_*`` metrics.
 
-        Flat ``name{label="value"}`` sample keys, identical to what
-        :mod:`repro.obs` exports for this object; :meth:`as_dict` remains
-        the backwards-compatible legacy shape.
+        Counters mirror the running totals via ``set_total`` and gauges are
+        overwritten, so writing again (the periodic cycle-barrier snapshots)
+        updates rather than double-counts.  The latency histogram is rebuilt
+        from each endpoint's retained window, like the p50/p99 columns of
+        :meth:`rows`.  Each :attr:`learners` entry is written as
+        ``repro_learner_*`` gauges labelled by its learner id.
         """
-        from repro.obs.adapters import server_stats_metrics
+        # Lazy: repro.learner.core imports repro.serve.batcher, and so this
+        # package, at import time.
+        from repro.learner.core import write_telemetry
 
-        return server_stats_metrics(self)
+        requests = registry.counter(
+            "repro_serve_requests_total", "Requests submitted per endpoint"
+        )
+        batches = registry.counter(
+            "repro_serve_batches_total", "Batches flushed per endpoint"
+        )
+        batched = registry.counter(
+            "repro_serve_batched_requests_total", "Requests resolved in flushed batches"
+        )
+        handler_seconds = registry.counter(
+            "repro_serve_handler_seconds_total", "Batch handler wall-clock seconds"
+        )
+        occupancy = registry.gauge(
+            "repro_serve_batch_occupancy", "Mean requests fused per flushed batch"
+        )
+        latency = registry.histogram(
+            "repro_serve_latency_seconds",
+            "Per-request service latency (bounded sample window)",
+        )
+        latency.reset()
+        for kind in sorted(self.endpoints):
+            endpoint = self.endpoints[kind]
+            requests.set_total(endpoint.requests, endpoint=kind)
+            batches.set_total(endpoint.batches, endpoint=kind)
+            batched.set_total(endpoint.batched_requests, endpoint=kind)
+            handler_seconds.set_total(endpoint.seconds, endpoint=kind)
+            if endpoint.batches:
+                occupancy.set(endpoint.mean_batch_occupancy, endpoint=kind)
+            latency.observe_many(endpoint.latencies, endpoint=kind)
+
+        registry.gauge("repro_serve_ticks", "Logical clock ticks elapsed").set(self.ticks)
+        registry.counter("repro_serve_cache_hits_total", "Completion cache hits").set_total(
+            self.cache_hits
+        )
+        registry.counter(
+            "repro_serve_cache_misses_total", "Completion cache misses"
+        ).set_total(self.cache_misses)
+        if not math.isnan(self.cache_hit_rate):
+            registry.gauge(
+                "repro_serve_cache_hit_rate", "Completion cache hit rate"
+            ).set(self.cache_hit_rate)
+
+        tenant_requests = registry.counter(
+            "repro_serve_tenant_requests_total", "Requests submitted per tenant"
+        )
+        tenant_served = registry.counter(
+            "repro_serve_tenant_served_total", "Batch slots granted per tenant"
+        )
+        tenant_starved = registry.counter(
+            "repro_serve_tenant_starved_flushes_total",
+            "Flushes that left a tenant's pending requests out of the batch",
+        )
+        for label in sorted(self.tenants):
+            tenant = self.tenants[label]
+            tenant_requests.set_total(tenant.requests, tenant=label)
+            tenant_served.set_total(tenant.served, tenant=label)
+            tenant_starved.set_total(tenant.starved_flushes, tenant=label)
+
+        for label in sorted(self.learners):
+            write_telemetry(registry, self.learners[label], learner=label)
 
     # -- round-tripping ----------------------------------------------------------
 

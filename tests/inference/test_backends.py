@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.inference.backends import grouped
-from repro.inference.backends.base import factor_delta
+from repro.inference.backends.base import SolverStats, factor_delta
 from repro.inference.backends.grouped import bucket_rows
 from repro.inference.compressive import CompressiveSensingInference
 from repro.mcs.vector import BatchedSparseMCSVectorEnv
@@ -218,12 +218,7 @@ class TestConvergenceEarlyExit:
         inference.complete(golden["observed"])
         assert inference.solver_stats.solves == 1
         inference.solver_stats.reset()
-        assert inference.solver_stats.as_dict() == {
-            "solves": 0,
-            "matrices": 0,
-            "sweeps_run": 0,
-            "sweeps_saved": 0,
-        }
+        assert inference.solver_stats == SolverStats()
 
 
 class TestToleranceIsolation:

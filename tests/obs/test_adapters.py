@@ -1,28 +1,54 @@
-"""Adapters: subsystem telemetry mirrored into the ``repro_*`` namespace.
+"""Telemetry sources write their own ``repro_*`` metrics into a registry.
 
-Also covers the ``metrics()`` methods on :class:`ServerStats` /
-:class:`SolverStats` / :class:`Learner` — the canonical flat-sample view of
-each subsystem's telemetry (the legacy ``as_dict()`` / ``telemetry()``
-shapes stay untouched as backwards-compatible aliases).
+``ServerStats``, ``SolverStats``, ``Learner`` and ``TrainingReport`` each
+have a ``write_to(registry)`` method; writing is idempotent (counters mirror
+running totals, gauges are overwritten), so periodic snapshots update rather
+than double-count.
 """
 
-from dataclasses import dataclass, field
-from typing import Tuple
+import numpy as np
 
-import pytest
-
+from repro.core.drcell import DRCellAgent, DRCellConfig
+from repro.core.trainer import TrainingReport
 from repro.inference.backends.base import SolverStats
-from repro.obs.adapters import (
-    ingest_learner,
-    ingest_server_stats,
-    ingest_solver_stats,
-    ingest_training_report,
-    learner_metrics,
-    training_report_metrics,
-)
+from repro.learner import Learner, LearnerConfig, TransitionBatch
 from repro.obs.metrics import MetricsRegistry
+from repro.rl.dqn import DQNConfig
 from repro.serve.stats import ServerStats
 from repro.utils.timing import fake_clock
+
+N_CELLS = 4
+WINDOW = 2
+
+
+def build_learner() -> Learner:
+    """A real learner that has ingested 10 + 6 transitions from two campaigns."""
+    agent = DRCellAgent.build(
+        N_CELLS,
+        DRCellConfig(
+            window=WINDOW,
+            seed=0,
+            lstm_hidden=8,
+            dense_hidden=(8,),
+            dqn=DQNConfig(batch_size=8, min_replay_size=8, replay_capacity=64),
+        ),
+    )
+    learner = Learner(agent, config=LearnerConfig(steps_per_publish=4))
+    for campaign, count in (("camp-a", 10), ("camp-b", 6)):
+        states = np.zeros((count, WINDOW, N_CELLS))
+        learner.ingest(
+            [
+                TransitionBatch(
+                    campaign=campaign,
+                    states=states,
+                    actions=np.arange(count) % N_CELLS,
+                    rewards=np.full(count, 0.5),
+                    next_states=states + 1.0,
+                    dones=np.zeros(count, dtype=bool),
+                )
+            ]
+        )
+    return learner
 
 
 def build_server_stats() -> ServerStats:
@@ -39,7 +65,7 @@ def build_server_stats() -> ServerStats:
     stats.ticks = 2
     stats.record_fairness(("t0", "t1"), ())
     stats.record_fairness(("t0",), ("t1",))
-    stats.record_learner("learner-0", {"total_steps": 40, "learn_steps": 4})
+    stats.record_learner("learner-0", build_learner().telemetry())
     return stats
 
 
@@ -47,7 +73,7 @@ class TestServerStatsIngestion:
     def test_counters_gauges_and_latency_mirror_the_stats(self):
         stats = build_server_stats()
         registry = MetricsRegistry()
-        ingest_server_stats(registry, stats)
+        stats.write_to(registry)
 
         requests = registry.get("repro_serve_requests_total")
         assert requests.value(endpoint="assess") == 2
@@ -75,136 +101,103 @@ class TestServerStatsIngestion:
         )
         # The pushed learner telemetry rides along, labelled by learner.
         assert (
-            registry.get("repro_learner_total_steps").value(learner="learner-0") == 40
+            registry.get("repro_learner_total_steps").value(learner="learner-0")
+            == stats.learners["learner-0"]["total_steps"]
         )
+        assert registry.get("repro_learner_replay_size").value(learner="learner-0") == 16
+
+    def test_endpoint_without_latencies_has_no_latency_series(self):
+        stats = ServerStats()
+        stats.record_request("complete", tenant="t0")  # submitted, not yet flushed
+        registry = MetricsRegistry()
+        stats.write_to(registry)
+        assert registry.get("repro_serve_requests_total").value(endpoint="complete") == 1
+        assert registry.get("repro_serve_latency_seconds").series(endpoint="complete") is None
 
     def test_reingestion_is_idempotent_not_double_counting(self):
         stats = build_server_stats()
         registry = MetricsRegistry()
-        ingest_server_stats(registry, stats)
-        ingest_server_stats(registry, stats)
+        stats.write_to(registry)
+        stats.write_to(registry)
         assert registry.get("repro_serve_requests_total").value(endpoint="assess") == 2
         assert registry.get("repro_serve_latency_seconds").series(endpoint="assess").count == 2
-
-    def test_metrics_method_returns_the_flat_sample_view(self):
-        stats = build_server_stats()
-        flat = stats.metrics()
-        assert flat['repro_serve_requests_total{endpoint="assess"}'] == 2
-        assert flat['repro_serve_batch_occupancy{endpoint="assess"}'] == 2.0
-        assert flat["repro_serve_ticks"] == 2
-        assert flat['repro_serve_tenant_served_total{tenant="t0"}'] == 2
-        assert flat['repro_learner_total_steps{learner="learner-0"}'] == 40
-        # The legacy alias keeps its shape.
-        assert stats.as_dict()["endpoints"]["assess"]["requests"] == 2
 
 
 class TestSolverStatsIngestion:
     def test_solver_counters_land_unlabelled(self):
-        solver_stats = SolverStats()
-        solver_stats.solves = 7
-        solver_stats.matrices = 3
-        solver_stats.sweeps_run = 12
-        solver_stats.sweeps_saved = 2
+        solver_stats = SolverStats(solves=7, matrices=3, sweeps_run=12, sweeps_saved=2)
         registry = MetricsRegistry()
-        ingest_solver_stats(registry, solver_stats)
+        solver_stats.write_to(registry)
         assert registry.get("repro_als_solves_total").value() == 7
+        assert registry.get("repro_als_matrices_total").value() == 3
+        assert registry.get("repro_als_sweeps_run_total").value() == 12
         assert registry.get("repro_als_sweeps_saved_total").value() == 2
-
-    def test_metrics_method_matches_the_adapter(self):
-        solver_stats = SolverStats()
-        solver_stats.solves = 7
-        solver_stats.sweeps_run = 12
-        flat = solver_stats.metrics()
-        assert flat["repro_als_solves_total"] == 7
-        assert flat["repro_als_sweeps_run_total"] == 12
-
-
-FULL_TELEMETRY = {
-    "total_steps": 100,
-    "learn_steps": 10,
-    "weights": {
-        "version": 5,
-        "publishes": 5,
-        "pulls": 20,
-        "stale_pulls": 3,
-        "mean_versions_behind": 0.4,
-        "max_versions_behind": 2,
-    },
-    "replay": {
-        "capacity": 256,
-        "size": 64,
-        "batches": 16,
-        "transitions": 64,
-        "campaigns": {"camp-a": {"transitions": 40}, "camp-b": {"transitions": 24}},
-    },
-}
 
 
 class TestLearnerIngestion:
     def test_full_telemetry_maps_to_gauges_and_occupancy(self):
+        learner = build_learner()
+        telemetry = learner.telemetry()
         registry = MetricsRegistry()
-        ingest_learner(registry, FULL_TELEMETRY, learner="L0")
-        assert registry.get("repro_learner_weights_version").value(learner="L0") == 5
+        learner.write_to(registry, learner="L0")
+        assert (
+            registry.get("repro_learner_weights_version").value(learner="L0")
+            == telemetry["weights"]["version"]
+        )
         assert (
             registry.get("repro_learner_weights_stale_pulls_total").value(learner="L0")
-            == 3
+            == telemetry["weights"]["stale_pulls"]
         )
-        assert registry.get("repro_learner_replay_size").value(learner="L0") == 64
+        assert registry.get("repro_learner_replay_size").value(learner="L0") == 16
         assert (
             registry.get("repro_learner_replay_occupancy").value(learner="L0") == 0.25
         )
         per_campaign = registry.get("repro_learner_replay_campaign_transitions")
-        assert per_campaign.value(learner="L0", campaign="camp-a") == 40
-        assert per_campaign.value(learner="L0", campaign="camp-b") == 24
+        assert per_campaign.value(learner="L0", campaign="camp-a") == 10
+        assert per_campaign.value(learner="L0", campaign="camp-b") == 6
 
-    def test_partial_telemetry_is_accepted(self):
+    def test_rewrite_after_more_transitions_overwrites_the_gauges(self):
+        learner = build_learner()
         registry = MetricsRegistry()
-        ingest_learner(registry, {"total_steps": 10}, learner="L0")
-        assert registry.get("repro_learner_total_steps").value(learner="L0") == 10
-        assert "repro_learner_replay_occupancy" not in registry
-
-    def test_flat_view_and_real_learner_metrics_method(self):
-        flat = learner_metrics(FULL_TELEMETRY, learner="L0")
-        assert flat['repro_learner_replay_occupancy{learner="L0"}'] == 0.25
+        learner.write_to(registry, learner="L0")
+        states = np.zeros((4, WINDOW, N_CELLS))
+        learner.ingest(
+            [
+                TransitionBatch(
+                    campaign="camp-a",
+                    states=states,
+                    actions=np.arange(4) % N_CELLS,
+                    rewards=np.full(4, 0.5),
+                    next_states=states + 1.0,
+                    dones=np.zeros(4, dtype=bool),
+                )
+            ]
+        )
+        learner.write_to(registry, learner="L0")
+        # Gauges take the latest telemetry; nothing is summed across writes.
+        assert registry.get("repro_learner_replay_size").value(learner="L0") == 20
+        per_campaign = registry.get("repro_learner_replay_campaign_transitions")
+        assert per_campaign.value(learner="L0", campaign="camp-a") == 14
+        assert per_campaign.value(learner="L0", campaign="camp-b") == 6
         assert (
-            flat['repro_learner_replay_campaign_transitions{campaign="camp-a",learner="L0"}']
-            == 40
+            registry.get("repro_learner_total_steps").value(learner="L0")
+            == learner.telemetry()["total_steps"]
         )
 
-        from repro.core.drcell import DRCellAgent, DRCellConfig
-        from repro.learner import Learner, LearnerConfig
-        from repro.rl.dqn import DQNConfig
 
-        agent = DRCellAgent.build(
-            4,
-            DRCellConfig(
-                window=2,
-                seed=0,
-                lstm_hidden=8,
-                dense_hidden=(8,),
-                dqn=DQNConfig(batch_size=8, min_replay_size=8, replay_capacity=64),
-            ),
-        )
-        learner = Learner(agent, config=LearnerConfig(steps_per_publish=4))
-        flat = learner.metrics(learner="L0")
-        assert flat['repro_learner_total_steps{learner="L0"}'] == 0
-        assert flat['repro_learner_weights_version{learner="L0"}'] == learner.telemetry()["weights"]["version"]
-
-
-@dataclass
-class FakeTrainingReport:
-    """The duck-typed subset of TrainingReport the adapter reads."""
-
-    episodes: int = 8
-    total_steps: int = 400
-    wall_clock_seconds: float = 2.0
-    episode_rewards: Tuple[float, ...] = (1.0, 3.0)
+def training_report(wall_clock_seconds: float = 2.0) -> TrainingReport:
+    return TrainingReport(
+        episodes=8,
+        total_steps=400,
+        wall_clock_seconds=wall_clock_seconds,
+        episode_rewards=[1.0, 3.0],
+    )
 
 
 class TestTrainingReportIngestion:
     def test_report_maps_to_totals_and_throughput(self):
         registry = MetricsRegistry()
-        ingest_training_report(registry, FakeTrainingReport(), run="temperature")
+        training_report().write_to(registry, run="temperature")
         assert (
             registry.get("repro_train_episodes_total").value(run="temperature") == 8
         )
@@ -220,9 +213,6 @@ class TestTrainingReportIngestion:
 
     def test_zero_wall_clock_skips_throughput(self):
         registry = MetricsRegistry()
-        report = FakeTrainingReport(wall_clock_seconds=0.0)
-        ingest_training_report(registry, report, run="r")
+        training_report(wall_clock_seconds=0.0).write_to(registry, run="r")
         assert "repro_train_steps_per_second" not in registry
-        flat = training_report_metrics(report, run="r")
-        assert 'repro_train_steps_per_second{run="r"}' not in flat
-        assert flat['repro_train_episodes_total{run="r"}'] == 8
+        assert registry.get("repro_train_episodes_total").value(run="r") == 8

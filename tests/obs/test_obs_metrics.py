@@ -65,6 +65,26 @@ class TestHistogram:
         assert series.sum == pytest.approx(106.65)
         assert histogram.cumulative_counts() == [2, 4, 5, 6]
 
+    def test_observe_many_matches_one_observe_per_value(self):
+        values = (0.05, 0.1, 0.5, 1.0, 5.0, 100.0, 0.3)
+        one_by_one = Histogram("repro_test_seconds", buckets=(0.1, 1.0, 10.0))
+        for value in values:
+            one_by_one.observe(value, endpoint="select")
+        bulk = Histogram("repro_test_seconds", buckets=(0.1, 1.0, 10.0))
+        bulk.observe_many(iter(values), endpoint="select")
+        expected = one_by_one.series(endpoint="select")
+        series = bulk.series(endpoint="select")
+        assert series.counts == expected.counts == [2, 3, 1, 1]
+        assert series.count == expected.count == 7
+        # Same values summed in the same order: bit-identical.
+        assert series.sum == expected.sum
+
+    def test_observe_many_of_nothing_creates_no_series(self):
+        histogram = Histogram("repro_test_seconds", buckets=(1.0,))
+        histogram.observe_many([], endpoint="idle")
+        assert histogram.series(endpoint="idle") is None
+        assert list(histogram.samples()) == []
+
     def test_unobserved_label_set_reads_as_empty(self):
         histogram = Histogram("repro_test_seconds", buckets=(1.0,))
         assert histogram.series(endpoint="never") is None

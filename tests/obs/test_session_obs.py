@@ -14,8 +14,9 @@ changes *nothing* about what a session computes:
 
 On top of the no-perturbation gate, the observed run must actually observe:
 the Prometheus exposition covers the serve / ALS / learner / trainer /
-profile families, and the Chrome trace parents every request span under the
-batch span that answered it.
+profile families, its snapshot matches ``data/metrics_golden.json``, and the
+Chrome trace parents every request span under the batch span that answered
+it.
 """
 
 import json
@@ -33,6 +34,18 @@ from repro.serve.journal import RequestJournal, diff_journals
 from repro.utils.timing import fake_clock
 
 SCENARIO = Path(__file__).parent.parent / "integration" / "data" / "journal_scenario.json"
+GOLDEN_METRICS = Path(__file__).parent / "data" / "metrics_golden.json"
+
+#: Series whose values derive from the wall clock and so differ between runs.
+WALL_CLOCK_METRICS = frozenset(
+    {
+        "repro_serve_handler_seconds_total",
+        "repro_serve_latency_seconds",
+        "repro_train_wall_clock_seconds",
+        "repro_train_steps_per_second",
+        "repro_profile_phase_seconds_total",
+    }
+)
 
 SERVE_KNOBS = dict(replicas=1, max_batch=8, max_inflight=2)
 
@@ -126,6 +139,34 @@ class TestObservedSessionExports:
         samples = parsed["repro_serve_requests_total"]["samples"]
         for endpoint in ("select", "assess", "complete", "learn"):
             assert f'repro_serve_requests_total{{endpoint="{endpoint}"}}' in samples
+
+    def test_snapshot_matches_the_golden_metrics(self, observed):
+        """Every family, type, help text, label set and schedule-determined
+        value of the observed session is pinned; wall-clock series keep
+        their labels (and a histogram its sample count) but not their values.
+
+        The golden file is this fixture's ``obs.snapshot()``, written with
+        ``json.dumps(..., indent=1, sort_keys=True)``.
+        """
+
+        def comparable(data):
+            out = {}
+            for name, entry in data["metrics"].items():
+                entry = dict(entry)
+                if name in WALL_CLOCK_METRICS:
+                    entry["series"] = [
+                        {
+                            key: value
+                            for key, value in series.items()
+                            if key not in ("value", "counts", "sum")
+                        }
+                        for series in entry["series"]
+                    ]
+                out[name] = entry
+            return out
+
+        golden = json.loads(GOLDEN_METRICS.read_text(encoding="utf-8"))
+        assert comparable(observed["obs"].snapshot()) == comparable(golden)
 
     def test_profiled_phases_cover_the_hot_paths(self, observed):
         phases = observed["obs"].profiler.as_dict()

@@ -199,7 +199,7 @@ class TestProfiler:
         assert (span.name, span.cat) == ("als.solve", "profile")
         assert (span.start, span.end) == (0.0, 0.125)
 
-    def test_ingest_mirrors_phase_totals_into_counters(self):
+    def test_write_to_mirrors_phase_totals_into_counters(self):
         from repro.obs.metrics import MetricsRegistry
 
         profiler = Profiler()
@@ -208,7 +208,7 @@ class TestProfiler:
                 with phase("als.solve"):
                     clock.advance(0.5)
         registry = MetricsRegistry()
-        profiler.ingest(registry)
+        profiler.write_to(registry)
         assert registry.get("repro_profile_phase_total").value(phase="als.solve") == 1
         assert (
             registry.get("repro_profile_phase_seconds_total").value(phase="als.solve")
