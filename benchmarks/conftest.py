@@ -11,7 +11,10 @@ numbers quoted in the README's Performance section) change only on purpose:
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
@@ -25,6 +28,50 @@ def write_result(name: str, rows) -> Path:
     path = OUT_DIR / f"{name}.json"
     path.write_text(json.dumps(rows, indent=2, default=str), encoding="utf-8")
     return path
+
+
+@dataclass
+class PairedRounds:
+    """What :func:`paired_rounds` measured, one entry per round."""
+
+    first: List[Any] = field(default_factory=list)
+    second: List[Any] = field(default_factory=list)
+    first_seconds: List[float] = field(default_factory=list)
+    second_seconds: List[float] = field(default_factory=list)
+    #: Which callable ran first in each round: ``"first"`` or ``"second"``.
+    orders: List[str] = field(default_factory=list)
+
+    @property
+    def ratios(self) -> List[float]:
+        """Per-round ``first seconds / second seconds`` (a speedup of ``second``)."""
+        return [a / b for a, b in zip(self.first_seconds, self.second_seconds)]
+
+    @property
+    def median_ratio(self) -> float:
+        return median(self.ratios)
+
+
+def paired_rounds(
+    first: Callable[[], Tuple[Any, float]],
+    second: Callable[[], Tuple[Any, float]],
+    rounds: int,
+) -> PairedRounds:
+    """Time two callables in ``rounds`` paired rounds, alternating the order.
+
+    Each callable returns ``(output, seconds)``.  Round ``i`` runs ``first``
+    then ``second`` for even ``i`` and the reverse for odd ``i``, so neither
+    side always pays for a cold cache or rides on a warm one.  A ratio gate
+    then takes :attr:`PairedRounds.median_ratio` instead of one sample.
+    """
+    measured = PairedRounds()
+    for index in range(rounds):
+        order = ("first", "second") if index % 2 == 0 else ("second", "first")
+        for side in order:
+            output, seconds = (first if side == "first" else second)()
+            getattr(measured, side).append(output)
+            getattr(measured, f"{side}_seconds").append(seconds)
+        measured.orders.append(order[0])
+    return measured
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ replay, instead of one per-transition update per campaign as direct
 forwards micro-batch across campaigns and assessments hit the shared
 completion cache on top.
 
-Two configurations are measured over the same N campaigns, in alternating
-(direct, served) rounds so both modes see the same machine conditions:
+Two configurations are measured over the same N campaigns, in paired rounds
+(``benchmarks.conftest.paired_rounds``, which alternates which mode runs
+first) so both modes see the same machine conditions:
 
 * ``sequential_direct`` — one fresh per-campaign agent each, trained
   per-transition by the direct lockstep runner, one campaign after another
@@ -47,7 +48,7 @@ from repro.serve import DecisionServer, ServeConfig, drive
 from repro.utils.seeding import SeedSequenceFactory
 from repro.utils.timing import monotonic
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import paired_rounds, write_result
 
 N_CELLS = 20
 HISTORY = 12
@@ -157,22 +158,10 @@ def _run_served_shared_learner(n_campaigns: int):
     return results, elapsed, server, learner
 
 
-def _paired_rounds(rounds: int, n_campaigns: int):
-    """Run ``rounds`` back-to-back (direct, served) pairs.
-
-    Returns the per-round speedups (direct seconds / served seconds), the
-    per-mode seconds of every round, the direct results, and the served
-    results, server and learner of the last round.  Every round computes
-    the same campaigns, so the results do not depend on which is kept.
-    """
-    speedups, direct_seconds, served_seconds = [], [], []
-    for _ in range(rounds):
-        direct_results, t_direct = _run_sequential_direct(n_campaigns)
-        served_results, t_served, server, learner = _run_served_shared_learner(n_campaigns)
-        speedups.append(t_direct / t_served)
-        direct_seconds.append(t_direct)
-        served_seconds.append(t_served)
-    return speedups, direct_seconds, served_seconds, direct_results, served_results, server, learner
+def _served_round(n_campaigns: int):
+    """One served round as ``(output, seconds)`` for :func:`paired_rounds`."""
+    results, elapsed, server, learner = _run_served_shared_learner(n_campaigns)
+    return (results, server, learner), elapsed
 
 
 def _endpoint_latency(stats, kind: str) -> dict:
@@ -191,19 +180,19 @@ def test_bench_learner_throughput(benchmark):
     n_campaigns = 3 if smoke else 8
     rounds = 1 if smoke else 3
 
-    (
-        speedups,
-        direct_seconds,
-        served_seconds,
-        direct_results,
-        served_results,
-        server,
-        learner,
-    ) = _paired_rounds(rounds, n_campaigns)
+    measured = paired_rounds(
+        lambda: _run_sequential_direct(n_campaigns),
+        lambda: _served_round(n_campaigns),
+        rounds,
+    )
+    direct_seconds, served_seconds = measured.first_seconds, measured.second_seconds
+    speedups = measured.ratios
+    direct_results = measured.first[-1]
+    served_results, server, learner = measured.second[-1]
 
     t_direct = median(direct_seconds)
     t_served = median(served_seconds)
-    speedup = median(speedups)
+    speedup = measured.median_ratio
     direct_rate = n_campaigns * N_CYCLES / t_direct
     served_rate = n_campaigns * N_CYCLES / t_served
     telemetry = learner.telemetry()
@@ -233,6 +222,7 @@ def test_bench_learner_throughput(benchmark):
             "campaign_cycles_per_second": round(served_rate, 2),
             "speedup_vs_sequential": round(speedup, 2),
             "round_speedups": [round(value, 3) for value in speedups],
+            "round_orders": measured.orders,
             "final_true_errors": _final_errors(served_results),
             "steps_per_publish": STEPS_PER_PUBLISH,
             "learner_minibatch": BATCH_SIZE,

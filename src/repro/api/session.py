@@ -36,7 +36,8 @@ import copy
 import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -404,100 +405,36 @@ class Session:
         order than sequential group-by-group evaluation — results are then
         statistically equivalent rather than bitwise identical.
         """
-        from repro.serve import DecisionServer, ServeConfig, drive
+        from repro.serve import DecisionServer, ServeConfig
 
         check_positive_int(replicas, "replicas")
-        if server is not None and any(
-            knob is not None
-            for knob in (max_batch, max_wait_ticks, cache_capacity, max_inflight)
-        ):
+        knobs = {
+            "max_batch": max_batch,
+            "max_wait_ticks": max_wait_ticks,
+            "cache_capacity": cache_capacity,
+            "max_inflight_per_campaign": max_inflight,
+        }
+        knobs = {name: value for name, value in knobs.items() if value is not None}
+        if server is not None and knobs:
             raise ValueError(
                 "max_batch/max_wait_ticks/cache_capacity/max_inflight configure a "
                 "newly built server and cannot rewire an explicitly passed one; "
                 "configure the server's ServeConfig instead"
             )
         if server is None:
-            defaults = ServeConfig()
-            server = DecisionServer(
-                ServeConfig(
-                    max_batch=max_batch if max_batch is not None else defaults.max_batch,
-                    max_wait_ticks=max_wait_ticks
-                    if max_wait_ticks is not None
-                    else defaults.max_wait_ticks,
-                    cache_capacity=cache_capacity
-                    if cache_capacity is not None
-                    else defaults.cache_capacity,
-                    max_inflight_per_campaign=max_inflight,
-                )
-            )
+            server = DecisionServer(ServeConfig(**knobs))
         if n_cycles is None:
             n_cycles = self.spec.max_test_cycles
         if checkpoint_after is not None:
             check_positive_int(checkpoint_after, "checkpoint_after")
-        serve_knobs = self._serve_knobs(server, n_cycles=n_cycles, replicas=replicas)
-        if journal is not None:
-            server.attach_journal(journal)
-            journal.record_header(scenario=self.spec.to_dict(), serve=serve_knobs)
-        if obs is not None and obs.tracer is not None:
-            server.attach_tracer(obs.tracer)
-        config = self.campaign_config()
-        report = SessionEvaluationReport()
-
-        launches = self._serve_launches(
+        return self._serve(
             server,
-            config,
             n_cycles=n_cycles,
             replicas=replicas,
-            stop_cycle=checkpoint_after,
+            journal=journal,
+            checkpoint_after=checkpoint_after,
+            obs=obs,
         )
-
-        drivers = [driver for _, _, driver in launches]
-        if obs is not None:
-            with obs.profiling():
-                drive(
-                    server,
-                    drivers,
-                    on_barrier=lambda: obs.on_cycle_barrier(server),
-                )
-        else:
-            drive(server, drivers)
-
-        checkpoint = None
-        if checkpoint_after is not None:
-            from repro.serve.checkpoint import ServerCheckpoint
-
-            checkpoint = ServerCheckpoint.capture(
-                server,
-                scenario=self.spec.to_dict(),
-                serve=serve_knobs,
-                cycle=checkpoint_after,
-                launches=[
-                    {
-                        "labels": [label for label, _ in labelled],
-                        "slot_states": runner.slot_states(),
-                    }
-                    for labelled, runner, _ in launches
-                ],
-            )
-
-        for labelled, runner, _ in launches:
-            for (label, slot), outcome in zip(labelled, runner.results):
-                self._record_evaluation(report, label, slot, outcome)
-        if journal is not None:
-            journal.finalize(server.stats)
-        if obs is not None:
-            server.stats.write_to(obs.registry)
-            self._write_solver_stats(obs.registry)
-            obs.finalize()
-        logger.info(
-            "scenario %s served %d campaign(s): %s",
-            self.spec.name,
-            len(report.rows),
-            server.stats.as_dict(),
-        )
-        if checkpoint is not None:
-            return report, server.stats, checkpoint
-        return report, server.stats
 
     @classmethod
     def resume_serve(
@@ -519,63 +456,129 @@ class Session:
         ``journal`` (optional) records the resumed tail — no header event,
         since the events continue a recorded session rather than start one.
         """
-        payload = checkpoint.payload
-        spec = ScenarioSpec.from_dict(payload["scenario"])
-        session = cls(spec)
+        from repro.serve import DecisionServer, ServeConfig
+
+        session = cls(ScenarioSpec.from_dict(checkpoint.payload["scenario"]))
         session.train()
-        return session._resume_serve(checkpoint, journal=journal)
-
-    def _resume_serve(
-        self,
-        checkpoint: "ServerCheckpoint",
-        *,
-        journal: Optional["RequestJournal"] = None,
-    ) -> Tuple[SessionEvaluationReport, "ServerStats"]:
-        from repro.serve import DecisionServer, ServeConfig, drive
-
-        payload = checkpoint.payload
-        knobs = payload["serve"]
-        server = DecisionServer(
-            ServeConfig(
-                max_batch=int(knobs["max_batch"]),
-                max_wait_ticks=int(knobs["max_wait_ticks"]),
-                cache_capacity=int(knobs["cache_capacity"]),
-                max_inflight_per_campaign=knobs["max_inflight_per_campaign"],
-            )
+        knobs = checkpoint.payload["serve"]
+        config = {knob.name: knobs[knob.name] for knob in fields(ServeConfig)}
+        return session._serve(
+            DecisionServer(ServeConfig(**config)),
+            n_cycles=knobs["n_cycles"],
+            replicas=int(knobs["replicas"]),
+            journal=journal,
+            resume=checkpoint,
         )
+
+    def _serve(
+        self,
+        server: "DecisionServer",
+        *,
+        n_cycles: Optional[int],
+        replicas: int,
+        journal: Optional["RequestJournal"] = None,
+        checkpoint_after: Optional[int] = None,
+        obs: Optional["Observability"] = None,
+        resume: Optional["ServerCheckpoint"] = None,
+    ):
+        """The body of :meth:`serve` and :meth:`resume_serve`.
+
+        ``resume`` (a checkpoint) starts at its cycle from its launch
+        states, restores its server state, and records no journal header.
+        """
+        from repro.mcs.served import ServedCampaignRunner
+        from repro.serve import drive
+
+        start_cycle = 0 if resume is None else int(resume.payload["cycle"])
+        # One fleet per (replica, dataset group), every campaign tagged with
+        # its report label as the server-side tenant id, and restored from
+        # the checkpoint's launches (same deterministic order) on resume.
+        # All are built, and their arguments validated, before anything is
+        # journaled or submitted.
+        config = self.campaign_config()
+        launches: List[Tuple[List[Tuple[str, _Slot]], ServedCampaignRunner, Any]] = []
+        for replica in range(replicas):
+            for members in self._dataset_groups():
+                labelled = [
+                    (slot.name if replica == 0 else f"{slot.name}@{replica}", slot)
+                    for slot in members
+                ]
+                runner = ServedCampaignRunner(
+                    [self._sensing_task(slot) for slot in members], config, server=server
+                )
+                policies = [
+                    self._build_policy(slot) if replica == 0 else self._replica_policy(slot)
+                    for slot in members
+                ]
+                driver = runner.launch(
+                    policies,
+                    n_cycles=n_cycles,
+                    tenants=[label for label, _ in labelled],
+                    start_cycle=start_cycle,
+                    stop_cycle=checkpoint_after,
+                    slot_states=None
+                    if resume is None
+                    else resume.payload["launches"][len(launches)]["slot_states"],
+                )
+                launches.append((labelled, runner, driver))
+        serve_knobs = {"n_cycles": n_cycles, "replicas": int(replicas), **asdict(server.config)}
         if journal is not None:
             server.attach_journal(journal)
-        config = self.campaign_config()
+            if resume is None:
+                journal.record_header(scenario=self.spec.to_dict(), serve=serve_knobs)
+        if obs is not None and obs.tracer is not None:
+            server.attach_tracer(obs.tracer)
+        if resume is not None:
+            # After the policies are built (fresh learners publish an initial
+            # version at construction, which the slot restore overwrites) and
+            # before the drive consumes the clock.
+            resume.restore(server)
+
+        with obs.profiling() if obs is not None else nullcontext():
+            drive(
+                server,
+                [driver for _, _, driver in launches],
+                on_barrier=None if obs is None else lambda: obs.on_cycle_barrier(server),
+            )
+
+        checkpoint = None
+        if checkpoint_after is not None:
+            from repro.serve.checkpoint import ServerCheckpoint
+
+            checkpoint = ServerCheckpoint.capture(
+                server,
+                scenario=self.spec.to_dict(),
+                serve=serve_knobs,
+                cycle=checkpoint_after,
+                launches=[
+                    {
+                        "labels": [label for label, _ in labelled],
+                        "slot_states": runner.slot_states(),
+                    }
+                    for labelled, runner, _ in launches
+                ],
+            )
+
         report = SessionEvaluationReport()
-
-        launches = self._serve_launches(
-            server,
-            config,
-            n_cycles=int(knobs["n_cycles"]),
-            replicas=int(knobs["replicas"]),
-            start_cycle=int(payload["cycle"]),
-            launch_states=payload["launches"],
-        )
-        # Restore the server after the policies are built (fresh learners
-        # publish an initial version into their stores at construction; the
-        # slot-state restore inside each launch overwrites that) but before
-        # the drive consumes the clock.
-        checkpoint.restore(server)
-
-        drive(server, [driver for _, _, driver in launches])
-
         for labelled, runner, _ in launches:
             for (label, slot), outcome in zip(labelled, runner.results):
                 self._record_evaluation(report, label, slot, outcome)
         if journal is not None:
             journal.finalize(server.stats)
+        if obs is not None:
+            server.stats.write_to(obs.registry)
+            self._write_solver_stats(obs.registry)
+            obs.finalize()
         logger.info(
-            "scenario %s resumed %d campaign(s) from cycle %d: %s",
+            "scenario %s %s %d campaign(s)%s: %s",
             self.spec.name,
+            "served" if resume is None else "resumed",
             len(report.rows),
-            int(payload["cycle"]),
+            "" if resume is None else f" from cycle {start_cycle}",
             server.stats.as_dict(),
         )
+        if checkpoint is not None:
+            return report, server.stats, checkpoint
         return report, server.stats
 
     def _write_solver_stats(self, registry) -> None:
@@ -599,77 +602,6 @@ class Session:
             total.sweeps_saved += stats.sweeps_saved
         if seen:
             total.write_to(registry)
-
-    def _serve_knobs(
-        self, server: "DecisionServer", *, n_cycles: Optional[int], replicas: int
-    ) -> Dict[str, Any]:
-        """The resolved serving knobs, as recorded in journals and checkpoints."""
-        return {
-            "n_cycles": n_cycles,
-            "replicas": int(replicas),
-            "max_batch": server.config.max_batch,
-            "max_wait_ticks": server.config.max_wait_ticks,
-            "cache_capacity": server.config.cache_capacity,
-            "max_inflight_per_campaign": server.config.max_inflight_per_campaign,
-        }
-
-    def _serve_launches(
-        self,
-        server: "DecisionServer",
-        config: CampaignConfig,
-        *,
-        n_cycles: Optional[int],
-        replicas: int,
-        start_cycle: int = 0,
-        stop_cycle: Optional[int] = None,
-        launch_states: Optional[List[Dict[str, Any]]] = None,
-    ) -> List[Tuple[List[Tuple[str, "_Slot"]], Any, Any]]:
-        """Build the per-(replica, dataset-group) served launches.
-
-        One :class:`~repro.mcs.served.ServedCampaignRunner` per replica per
-        dataset group, every campaign tagged with its report label as the
-        server-side tenant id.  ``launch_states`` (from a checkpoint's
-        ``launches`` payload, in the same deterministic order) restores each
-        fleet mid-flight.
-        """
-        from repro.mcs.served import ServedCampaignRunner
-
-        launches: List[Tuple[List[Tuple[str, _Slot]], ServedCampaignRunner, Any]] = []
-        index = 0
-        for replica in range(replicas):
-            for members in self._dataset_groups():
-                labelled = [
-                    (slot.name if replica == 0 else f"{slot.name}@{replica}", slot)
-                    for slot in members
-                ]
-                runner = ServedCampaignRunner(
-                    [self._sensing_task(slot) for slot in members], config, server=server
-                )
-                policies = [
-                    self._build_policy(slot)
-                    if replica == 0
-                    else self._replica_policy(slot)
-                    for slot in members
-                ]
-                slot_states = None
-                if launch_states is not None:
-                    slot_states = launch_states[index]["slot_states"]
-                launches.append(
-                    (
-                        labelled,
-                        runner,
-                        runner.launch(
-                            policies,
-                            n_cycles=n_cycles,
-                            tenants=[label for label, _ in labelled],
-                            start_cycle=start_cycle,
-                            stop_cycle=stop_cycle,
-                            slot_states=slot_states,
-                        ),
-                    )
-                )
-                index += 1
-        return launches
 
     def set_agent(self, slot_name: str, agent: DRCellAgent) -> None:
         """Bind an externally trained agent to a slot (the transfer-learning route).

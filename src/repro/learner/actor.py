@@ -216,9 +216,9 @@ class ActorPolicy(CellSelectionPolicy):
 
     Standalone (no server) the policy ingests batches into its learner
     directly at ``end_cycle``.  Under a served runner —
-    :meth:`bind_server` is called at launch — the batch is parked and the
-    runner submits it to the ``learn_batch`` endpoint, resolving it before
-    the next cycle's selections.
+    :meth:`bind_server` is called when its drive starts — the batch is
+    parked and the runner submits it to the ``learn_batch`` endpoint,
+    resolving it before the next cycle's selections.
     """
 
     name = "DR-Cell (served online)"
@@ -247,9 +247,12 @@ class ActorPolicy(CellSelectionPolicy):
     def bind_server(self, server) -> None:
         """Defer learning to the server's ``learn_batch`` endpoint.
 
-        Called by :class:`~repro.mcs.served.ServedCampaignRunner` at launch;
-        also adopts the server's logical clock for publication timestamps so
-        staleness telemetry is measured in server ticks.
+        Called by :class:`~repro.mcs.served.ServedCampaignRunner` when its
+        drive starts.  From then on ``end_cycle`` parks each cycle's batch,
+        the campaign protocol takes it (:meth:`take_transition_batch`) as a
+        *learn* phase and the served driver submits it.  Also adopts the
+        server's logical clock for publication timestamps so staleness
+        telemetry is measured in server ticks.
         """
         self._deferred = True
         self.learner.use_clock(server.clock)

@@ -12,11 +12,11 @@ evaluates DR-Cell inside:
   select cells one by one until the quality assessor is satisfied, then
   infer the rest.  It runs P policies / requirement settings in lockstep,
   with the per-submission assessments and end-of-cycle completions batched;
-  one campaign is the P=1 case, ``runner.run([policy])[0]``.
-* :class:`~repro.mcs.served.ServedCampaignRunner` — the same lockstep loop
-  with every batched decision routed through a shared
-  :class:`~repro.serve.server.DecisionServer`, so independent fleets fuse
-  work across campaigns.
+  one campaign is the P=1 case, ``runner.run([policy])[0]``.  The loop is
+  written once, as a protocol of typed phases that ``run`` answers inline.
+* :class:`~repro.mcs.served.ServedCampaignRunner` — the same protocol
+  answered by a shared :class:`~repro.serve.server.DecisionServer`, so
+  independent fleets fuse work across campaigns.
 * :class:`~repro.mcs.environment.SparseMCSEnvironment` — the reinforcement-
   learning view of the same loop, used to train DR-Cell.
 * :class:`~repro.mcs.results.CampaignResult` — per-cycle records and

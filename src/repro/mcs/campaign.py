@@ -1,23 +1,36 @@
-"""The Sparse MCS campaign runner: the cycle loop of Figure 2.
+"""The Sparse MCS campaign: the cycle loop of Figure 2, written once.
 
-For every sensing cycle the runner asks the selection policy for cells one
-by one, reveals their ground-truth values ("a participant submits data"),
-and after each submission asks the quality assessor whether the cycle now
-satisfies the (ε, p)-quality requirement.  When it does (or when every cell
-has been sensed) the remaining cells are inferred and the campaign moves to
-the next cycle.  The true per-cycle inference error is recorded against the
-ground truth so the evaluation can verify the quality guarantee was really
-met.
+For every sensing cycle each campaign asks its selection policy for cells
+one by one, reveals their ground-truth values ("a participant submits
+data"), and after each submission asks the quality assessor whether the
+cycle now satisfies the (ε, p)-quality requirement.  When it does (or when
+every cell has been sensed) the remaining cells are inferred and the
+campaign moves to the next cycle.  The true per-cycle inference error is
+recorded against the ground truth so the evaluation can verify the quality
+guarantee was really met.
 
-:class:`BatchedCampaignRunner` is the one direct implementation of that
-loop.  It steps P campaigns in lockstep; a single campaign is its P=1 case,
+The loop is a *protocol*: :meth:`BatchedCampaignRunner._cycles` is a
+generator that steps P campaign slots in lockstep, yields one typed
+:class:`_Phase` per decision it needs and takes the answers back through
+``send()``.  Slot construction, validation and checkpoint restore happen
+once, in :meth:`BatchedCampaignRunner._open`.  Two drivers answer the
+phases:
+
+* direct — :meth:`BatchedCampaignRunner.run` resolves each phase inline
+  (:func:`_resolve_direct`), pooling equivalent slots into one
+  ``assess_many`` / ``complete_batch`` call per class;
+* served — :class:`~repro.mcs.served.ServedCampaignRunner` maps the same
+  phases onto a :class:`~repro.serve.server.DecisionServer`, whose handlers
+  resolve each class with the same per-class functions.
+
+A single campaign is the P=1 case,
 ``BatchedCampaignRunner(task, config).run([policy])[0]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,6 +193,86 @@ class CampaignConfig:
                 )
 
 
+# -- per-class resolution (shared with the decision server) --------------------
+
+
+class _Assessment(NamedTuple):
+    """One quality-assessment query; the fields of the server's ``AssessQuery``."""
+
+    assessor: Any
+    inference: Any
+    observed: np.ndarray
+    cycle: int
+    requirement: Any
+
+
+class _Completion(NamedTuple):
+    """One completion query; the fields of the server's ``CompleteQuery``."""
+
+    inference: Any
+    matrix: np.ndarray
+
+
+def _same_assessment_class(a, b) -> bool:
+    """True when two assessment queries may share one pooled ``assess_many``.
+
+    Pooling is by (assessor, inference) *equivalence*, not identity: slots
+    sharing a task pool trivially, and slots carrying distinct but
+    equivalently configured instances (the normal case when a scenario spec
+    constructs one instance per slot) share the batched solve too.
+    """
+    return _equivalent_assessor(a.assessor, b.assessor) and _equivalent_inference(
+        a.inference, b.inference
+    )
+
+
+def _assess_class(queries: Sequence[_Assessment], inference) -> List[bool]:
+    """Answer one assessment class with a single pooled ``assess_many`` call.
+
+    Per-query RNG partitioning: the first query's assessor runs the pooled
+    pass, but each query's subsampling draws come from its own assessor's
+    stream (queries sharing one instance share one stream, consumed in query
+    order), so a campaign's assessment randomness does not depend on who
+    shares its batch.
+    """
+    verdicts = queries[0].assessor.assess_many(
+        [query.observed for query in queries],
+        [query.cycle for query in queries],
+        [query.requirement for query in queries],
+        inference,
+        rngs=[getattr(query.assessor, "rng", None) for query in queries],
+    )
+    return [bool(verdict) for verdict in verdicts]
+
+
+#: Per pooled phase kind: (may two queries share one call?, answer one class).
+_POOLED = {
+    "assess": (_same_assessment_class, _assess_class),
+    "complete": (
+        lambda a, b: _equivalent_inference(a.inference, b.inference),
+        lambda queries, inference: inference.complete_batch(
+            [query.matrix for query in queries]
+        ),
+    ),
+}
+
+
+def _resolve_pooled(kind: str, queries: Sequence) -> list:
+    """Answer ``queries`` one equivalence class at a time; answers in query order."""
+    same_class, resolve = _POOLED[kind]
+    answers: list = [None] * len(queries)
+    for group in _group_by_equivalence(
+        range(len(queries)), lambda i, j: same_class(queries[i], queries[j])
+    ):
+        members = [queries[index] for index in group]
+        for index, answer in zip(group, resolve(members, members[0].inference)):
+            answers[index] = answer
+    return answers
+
+
+# -- the cycle protocol --------------------------------------------------------
+
+
 @dataclass
 class _CampaignSlot:
     """Mutable per-(task, policy) state of one lockstep campaign slot."""
@@ -193,13 +286,89 @@ class _CampaignSlot:
     selected_order: List[int] = field(default_factory=list)
     assessed_satisfied: bool = False
     active: bool = False
-    #: Tenant (campaign) id the serving layer tags this slot's requests with;
-    #: the direct runner never reads it.
+    #: Tenant (campaign) id the serving layer tags this slot's requests with.
     tenant: str = "default"
 
     @property
     def n_selected(self) -> int:
         return len(self.selected_order)
+
+    def state_dict(self) -> dict:
+        """Checkpoint payload: matrices, cycle records, policy and assessor state."""
+        from repro.utils.statedict import encode_array
+
+        policy, assessor = self.policy, self.task.assessor
+        return {
+            "tenant": self.tenant,
+            "observed": encode_array(self.observed),
+            "inferred": encode_array(self.inferred),
+            "records": [
+                {**asdict(record), "selected_cells": list(record.selected_cells)}
+                for record in self.result.records
+            ],
+            "policy": policy.state_dict() if hasattr(policy, "state_dict") else None,
+            "assessor": assessor.state_dict() if hasattr(assessor, "state_dict") else None,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Apply one :meth:`state_dict` payload onto this freshly built slot."""
+        from repro.utils.statedict import decode_array
+
+        observed = decode_array(state["observed"])
+        if observed.shape != self.observed.shape:
+            raise ValueError(
+                f"checkpointed observed matrix shape {observed.shape} does not "
+                f"match the fleet's {self.observed.shape} — resume with the "
+                "same scenario and cycle budget it was recorded under"
+            )
+        self.observed[:, :] = observed
+        self.inferred[:, :] = decode_array(state["inferred"])
+        self.result.records = []
+        for record in state["records"]:
+            self.result.add_record(
+                CycleRecord(
+                    cycle=int(record["cycle"]),
+                    selected_cells=tuple(int(c) for c in record["selected_cells"]),
+                    true_error=float(record["true_error"]),
+                    assessed_satisfied=bool(record["assessed_satisfied"]),
+                )
+            )
+        if state.get("policy") is not None:
+            self.policy.load_state_dict(state["policy"])
+        if state.get("assessor") is not None:
+            self.task.assessor.load_state_dict(state["assessor"])
+
+
+@dataclass(frozen=True)
+class _Phase:
+    """One request of the cycle protocol; ``queries[i]`` is ``slots[i]``'s.
+
+    ``kind`` is ``"select"`` (``select_cell`` arguments of the active
+    slots), ``"assess"`` (:class:`_Assessment` s of the due slots),
+    ``"complete"`` (:class:`_Completion` s of the not-fully-sensed slots),
+    ``"learn"`` (``(learner, batch)`` pairs parked by server-bound actor
+    policies) or ``"barrier"`` (the cycle is over).  The protocol takes one
+    answer per query back through ``send()``, in query order.
+    """
+
+    kind: str
+    slots: Sequence[_CampaignSlot] = ()
+    queries: Sequence[tuple] = ()
+
+
+def _resolve_direct(phase: _Phase):
+    """The direct driver: answer one protocol phase inline."""
+    if phase.kind == "select":
+        # Lazy, so slot i's pick is applied before slot i+1 selects.
+        return (
+            slot.policy.select_cell(*query)
+            for slot, query in zip(phase.slots, phase.queries)
+        )
+    if phase.kind == "learn":
+        return [learner.ingest([batch])[0] for learner, batch in phase.queries]
+    if phase.kind in _POOLED:
+        return _resolve_pooled(phase.kind, phase.queries)
+    return None
 
 
 class BatchedCampaignRunner:
@@ -267,6 +436,32 @@ class BatchedCampaignRunner:
         With one task and P policies, every policy runs against that task;
         otherwise ``policies[i]`` runs against ``tasks[i]``.
         """
+        _, protocol = self._open(policies, n_cycles)
+        answer = None
+        while True:
+            try:
+                phase = protocol.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = _resolve_direct(phase)
+
+    # -- the protocol ----------------------------------------------------------
+
+    def _open(
+        self,
+        policies: Sequence[CellSelectionPolicy],
+        n_cycles: Optional[int],
+        *,
+        tenants: Optional[Sequence[str]] = None,
+        start_cycle: int = 0,
+        stop_cycle: Optional[int] = None,
+        slot_states: Optional[Sequence[Optional[dict]]] = None,
+    ) -> Tuple[List[_CampaignSlot], Generator[_Phase, Any, List[CampaignResult]]]:
+        """Validate a run, build (and restore) its slots; returns ``(slots, protocol)``.
+
+        Runs eagerly, so a bad argument raises before any driver starts;
+        :meth:`~repro.mcs.served.ServedCampaignRunner.launch` documents them.
+        """
         if not policies:
             raise ValueError("at least one policy is required")
         tasks = self.tasks
@@ -277,17 +472,33 @@ class BatchedCampaignRunner:
                 f"{len(policies)} policies for {len(tasks)} tasks; provide one task "
                 "(shared) or exactly one task per policy"
             )
-
         dataset = tasks[0].dataset
         total_cycles = dataset.n_cycles if n_cycles is None else min(
             check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
         )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-        ground_truth = dataset.data
+        if tenants is None:
+            tenants = [f"campaign-{index}" for index in range(len(policies))]
+        if len(tenants) != len(policies):
+            raise ValueError(f"{len(policies)} slots but {len(tenants)} tenants")
+        start_cycle = int(start_cycle)
+        if not 0 <= start_cycle <= total_cycles:
+            raise ValueError(
+                f"start_cycle {start_cycle} out of range [0, {total_cycles}]"
+            )
+        end_cycle = total_cycles
+        if stop_cycle is not None:
+            end_cycle = check_positive_int(stop_cycle, "stop_cycle")
+            if not start_cycle <= end_cycle <= total_cycles:
+                raise ValueError(
+                    f"stop_cycle {end_cycle} out of range "
+                    f"[{start_cycle}, {total_cycles}]"
+                )
+        if slot_states is not None and len(slot_states) != len(policies):
+            raise ValueError(
+                f"{len(policies)} slots but {len(slot_states)} slot states"
+            )
 
+        n_cells = dataset.n_cells
         slots = [
             _CampaignSlot(
                 task=task,
@@ -301,11 +512,31 @@ class BatchedCampaignRunner:
                     metadata={"dataset": dataset.name, "n_cycles": total_cycles},
                 ),
                 sensed_mask=np.zeros(n_cells, dtype=bool),
+                tenant=str(tenant),
             )
-            for task, policy in zip(tasks, policies)
+            for task, policy, tenant in zip(tasks, policies, tenants)
         ]
+        for slot, state in zip(slots, slot_states or ()):
+            if state is not None:
+                slot.load_state_dict(state)
+        return slots, self._cycles(slots, start_cycle, end_cycle)
 
-        for cycle in range(total_cycles):
+    def _cycles(
+        self, slots: List[_CampaignSlot], start_cycle: int, end_cycle: int
+    ) -> Generator[_Phase, Any, List[CampaignResult]]:
+        """The cycle protocol: yields phases, takes answers, returns the results.
+
+        Only non-empty phases are yielded, each cycle ends with a
+        ``"barrier"`` phase, and queries are in slot order — the order every
+        pooled call and shared random stream is consumed in.
+        """
+        dataset = slots[0].task.dataset
+        ground_truth = dataset.data
+        n_cells = dataset.n_cells
+        max_cells = min(self.config.max_cells_per_cycle or n_cells, n_cells)
+        min_cells = min(self.config.min_cells_per_cycle, max_cells)
+
+        for cycle in range(start_cycle, end_cycle):
             for slot in slots:
                 slot.policy.begin_cycle(cycle, slot.observed)
                 slot.sensed_mask = np.zeros(n_cells, dtype=bool)
@@ -317,18 +548,53 @@ class BatchedCampaignRunner:
                 active = [slot for slot in slots if slot.active]
                 if not active:
                     break
-                for slot in active:
-                    cell = slot.policy.select_cell(slot.observed, cycle, slot.sensed_mask)
+                queries = [(slot.observed, cycle, slot.sensed_mask) for slot in active]
+                cells = yield _Phase("select", active, queries)
+                for slot, cell in zip(active, cells):
                     cell = CellSelectionPolicy._validate_selection(cell, slot.sensed_mask)
                     slot.sensed_mask[cell] = True
                     slot.selected_order.append(cell)
                     slot.observed[cell, cycle] = ground_truth[cell, cycle]
-                self._assess_due_slots(active, cycle, min_cells)
+                due = [
+                    slot
+                    for slot in active
+                    if slot.n_selected >= min_cells
+                    and (slot.n_selected - min_cells) % self.config.assess_every == 0
+                ]
+                if due:
+                    queries = [
+                        _Assessment(
+                            slot.task.assessor, slot.task.inference,
+                            slot.observed[:, : cycle + 1], cycle, slot.task.requirement,
+                        )
+                        for slot in due
+                    ]
+                    verdicts = yield _Phase("assess", due, queries)
+                    for slot, verdict in zip(due, verdicts):
+                        if verdict:
+                            slot.assessed_satisfied = True
+                            slot.active = False
                 for slot in active:
                     if slot.active and slot.n_selected >= max_cells:
                         slot.active = False
 
-            self._finalize_cycle(slots, ground_truth, cycle)
+            # Infer each slot's unsensed cells from its recent history window.
+            start = max(0, cycle + 1 - self.config.history_window)
+            unsensed = []
+            for slot in slots:
+                if slot.sensed_mask.all():
+                    slot.inferred[:, cycle] = ground_truth[:, cycle]
+                else:
+                    unsensed.append(slot)
+            if unsensed:
+                queries = [
+                    _Completion(slot.task.inference, slot.observed[:, start : cycle + 1])
+                    for slot in unsensed
+                ]
+                completed = yield _Phase("complete", unsensed, queries)
+                for slot, matrix in zip(unsensed, completed):
+                    slot.inferred[:, cycle] = matrix[:, matrix.shape[1] - 1]
+
             for slot in slots:
                 slot.policy.end_cycle(cycle, slot.observed)
                 slot.result.add_record(
@@ -346,67 +612,19 @@ class BatchedCampaignRunner:
                     )
                 )
 
+            # Transition batches parked by end_cycle (server-bound actor
+            # policies) are learned from before any next-cycle selection.
+            parked, batches = [], []
+            for slot in slots:
+                take = getattr(slot.policy, "take_transition_batch", None)
+                batch = take() if take is not None else None
+                if batch is not None:
+                    parked.append(slot)
+                    batches.append((slot.policy.learner, batch))
+            if parked:
+                yield _Phase("learn", parked, batches)
+            yield _Phase("barrier")
+
         for slot in slots:
             slot.result.inferred_matrix = slot.inferred
         return [slot.result for slot in slots]
-
-    # -- internals -------------------------------------------------------------
-
-    def _assess_due_slots(
-        self, active: List[_CampaignSlot], cycle: int, min_cells: int
-    ) -> None:
-        """Batch-assess every active slot that is due after this submission round."""
-        due = [
-            slot
-            for slot in active
-            if slot.n_selected >= min_cells
-            and (slot.n_selected - min_cells) % self.config.assess_every == 0
-        ]
-        # Pool by (assessor, inference) *equivalence*, not identity: slots
-        # sharing a task pool trivially, and slots carrying distinct but
-        # equivalently configured instances (the normal case when a scenario
-        # spec constructs one instance per slot) share the batched solve too.
-        groups = _group_by_equivalence(
-            due,
-            lambda a, b: _equivalent_assessor(a.task.assessor, b.task.assessor)
-            and _equivalent_inference(a.task.inference, b.task.inference),
-        )
-        for group in groups:
-            # Per-slot RNG partitioning: the representative runs the pooled
-            # pass, but each slot's subsampling draws come from its own
-            # assessor's stream (slots sharing one instance share one stream,
-            # consumed in slot order — identical to the pre-partitioning
-            # behaviour).
-            verdicts = group[0].task.assessor.assess_many(
-                [slot.observed[:, : cycle + 1] for slot in group],
-                [cycle] * len(group),
-                [slot.task.requirement for slot in group],
-                group[0].task.inference,
-                rngs=[getattr(slot.task.assessor, "rng", None) for slot in group],
-            )
-            for slot, verdict in zip(group, verdicts):
-                if verdict:
-                    slot.assessed_satisfied = True
-                    slot.active = False
-
-    def _finalize_cycle(
-        self, slots: List[_CampaignSlot], ground_truth: np.ndarray, cycle: int
-    ) -> None:
-        """Infer every slot's unsensed cells for ``cycle``, batched per algorithm."""
-        start = max(0, cycle + 1 - self.config.history_window)
-        needs_completion: List[_CampaignSlot] = []
-        for slot in slots:
-            if slot.sensed_mask.all():
-                slot.inferred[:, cycle] = ground_truth[:, cycle]
-            else:
-                needs_completion.append(slot)
-        groups = _group_by_equivalence(
-            needs_completion,
-            lambda a, b: _equivalent_inference(a.task.inference, b.task.inference),
-        )
-        for group in groups:
-            inference = group[0].task.inference
-            windows = [slot.observed[:, start : cycle + 1] for slot in group]
-            completed_windows = inference.complete_batch(windows)
-            for slot, completed in zip(group, completed_windows):
-                slot.inferred[:, cycle] = completed[:, completed.shape[1] - 1]

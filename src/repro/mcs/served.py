@@ -1,60 +1,37 @@
-"""Server-backed campaigns: the lockstep cycle loop against a :class:`DecisionServer`.
+"""Server-backed campaigns: the cycle protocol answered by a :class:`DecisionServer`.
 
-:class:`ServedCampaignRunner` runs the exact campaign protocol of
-:class:`~repro.mcs.campaign.BatchedCampaignRunner` — the same submission
-rounds, the same assessment cadence, the same per-cycle records — but routes
-every batched decision through a shared :class:`~repro.serve.server.
-DecisionServer` instead of calling the components directly:
+:class:`ServedCampaignRunner` runs the one campaign protocol of
+:mod:`repro.mcs.campaign` — same rounds, same assessment cadence, same
+records — under a second driver, which maps each phase onto a shared
+:class:`~repro.serve.server.DecisionServer`:
 
-* DR-Cell policy queries become ``select_cell`` requests (one stacked
-  Q-network forward for every pending query against a shared agent; other
-  policies keep selecting locally, they are cheap);
-* due-slot quality assessments become ``assess_quality`` requests (grouped
-  by the same (assessor, inference) equivalence classes, answered with one
-  pooled ``assess_many`` per class);
-* end-of-cycle completions become ``complete_matrix`` requests (one
-  ``complete_batch`` per inference class);
-* for served online policies (:class:`~repro.learner.actor.ActorPolicy`),
-  each finished cycle's transitions are shipped to the central learner as a
-  ``learn_batch`` request, resolved before the next cycle's selections are
-  submitted.
+* select — DR-Cell and served online (:class:`~repro.learner.actor.
+  ActorPolicy`) queries become ``select_cell`` requests, one stacked
+  Q-network forward per agent; other policies select locally;
+* assess / complete — ``assess_quality`` / ``complete_matrix`` requests,
+  answered per equivalence class by the direct driver's own resolution;
+* learn — each cycle's parked transition batches become ``learn_batch``
+  requests, resolved before the next cycle's selections;
+* barrier — a :data:`~repro.serve.server.CYCLE_BARRIER` yield.
 
-Because requests are submitted in slot order and the server processes each
-batch FIFO with the same equivalence grouping, a single runner driven alone
-against a server reproduces the direct ``BatchedCampaignRunner`` results —
-bitwise, including the shared assessor's RNG stream (the completion cache
-returns exactly what a recomputation would, since the batched solvers are
-batch-composition independent).
-
-The new capability is *concurrency*: :meth:`launch` returns a generator, and
-any number of runners — over different datasets, requirements, scenarios —
-can be driven cooperatively against one server with
-:func:`repro.serve.server.drive`.  Requests from different runners land in
-the same server batches, so independent campaigns share Q-network forwards,
-ALS solves and cached completions that the per-fleet runners cannot fuse.
-Note that cross-runner pooling feeds *equivalent* (but distinct) assessor
-instances through one representative, so a runner sharing a server with
-equivalent neighbours sees the same decisions only in distribution, not
-bitwise — run a runner alone (or with non-equivalent neighbours) when exact
-reproduction matters.
+Requests go out in slot order and the server answers each batch FIFO, so
+one runner driven alone reproduces :meth:`BatchedCampaignRunner.run`
+bitwise, including the shared assessor's RNG stream.  :meth:`launch`
+returns a generator, so any number of runners can be driven against one
+server with :func:`repro.serve.server.drive` and share its batches.
+Cross-runner pooling feeds *equivalent* but distinct assessors through one
+representative, so such neighbours agree only in distribution.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
-import numpy as np
-
-from repro.mcs.campaign import (
-    BatchedCampaignRunner,
-    CampaignConfig,
-    _CampaignSlot,
-)
+from repro.mcs.campaign import BatchedCampaignRunner, CampaignConfig, _CampaignSlot
 from repro.mcs.policies import CellSelectionPolicy
-from repro.mcs.results import CampaignResult, CycleRecord
+from repro.mcs.results import CampaignResult
 from repro.serve.batcher import PendingResult
 from repro.serve.server import CYCLE_BARRIER, DecisionServer, drive
-from repro.utils.validation import check_positive_int
 
 
 class ServedCampaignRunner(BatchedCampaignRunner):
@@ -126,12 +103,12 @@ class ServedCampaignRunner(BatchedCampaignRunner):
     ) -> Iterator[None]:
         """A cooperative driver for this fleet's campaigns.
 
-        The returned generator submits one *phase* of server requests at a
-        time (a submission round's policy queries, then its due
-        assessments, then — per cycle — the final completions) and yields
-        whenever submitted futures must resolve before it can continue.
-        Advance it with :func:`repro.serve.server.drive`, interleaved with
-        any other runners sharing the server.
+        The returned generator submits one protocol phase of server
+        requests at a time and yields whenever they must resolve before it
+        can continue.  Advance it with :func:`repro.serve.server.drive`,
+        interleaved with any other runners sharing the server.  Arguments
+        are validated, and the slots built and restored, before it is
+        returned: a bad call raises here, not in the drive.
 
         Parameters
         ----------
@@ -150,245 +127,18 @@ class ServedCampaignRunner(BatchedCampaignRunner):
             resumed cycle runs.
         """
         self._results = None
-        return self._launch(
-            policies, n_cycles, tenants, start_cycle, stop_cycle, slot_states
+        slots, protocol = self._open(
+            policies,
+            n_cycles,
+            tenants=tenants,
+            start_cycle=start_cycle,
+            stop_cycle=stop_cycle,
+            slot_states=slot_states,
         )
-
-    # -- internals ---------------------------------------------------------------
-
-    def _launch(
-        self,
-        policies: Sequence[CellSelectionPolicy],
-        n_cycles: Optional[int],
-        tenants: Optional[Sequence[str]] = None,
-        start_cycle: int = 0,
-        stop_cycle: Optional[int] = None,
-        slot_states: Optional[Sequence[Optional[dict]]] = None,
-    ) -> Iterator[None]:
-        if not policies:
-            raise ValueError("at least one policy is required")
-        tasks = self.tasks
-        if len(tasks) == 1 and len(policies) > 1:
-            tasks = tasks * len(policies)
-        if len(tasks) != len(policies):
-            raise ValueError(
-                f"{len(policies)} policies for {len(tasks)} tasks; provide one task "
-                "(shared) or exactly one task per policy"
-            )
-
-        dataset = tasks[0].dataset
-        total_cycles = dataset.n_cycles if n_cycles is None else min(
-            check_positive_int(n_cycles, "n_cycles"), dataset.n_cycles
-        )
-        n_cells = dataset.n_cells
-        max_cells = self.config.max_cells_per_cycle or n_cells
-        max_cells = min(max_cells, n_cells)
-        min_cells = min(self.config.min_cells_per_cycle, max_cells)
-        ground_truth = dataset.data
-
-        slots = [
-            _CampaignSlot(
-                task=task,
-                policy=policy,
-                observed=np.full((n_cells, total_cycles), np.nan),
-                inferred=np.full((n_cells, total_cycles), np.nan),
-                result=CampaignResult(
-                    policy_name=policy.name,
-                    requirement=task.requirement,
-                    n_cells=n_cells,
-                    metadata={
-                        "dataset": dataset.name,
-                        "n_cycles": total_cycles,
-                        "served": True,
-                    },
-                ),
-                sensed_mask=np.zeros(n_cells, dtype=bool),
-            )
-            for task, policy in zip(tasks, policies)
-        ]
-        if tenants is None:
-            tenants = [f"campaign-{index}" for index in range(len(slots))]
-        if len(tenants) != len(slots):
-            raise ValueError(f"{len(slots)} slots but {len(tenants)} tenants")
-        for slot, tenant in zip(slots, tenants):
-            slot.tenant = str(tenant)
+        for slot in slots:
+            slot.result.metadata["served"] = True
         self._slots = slots
-
-        start_cycle = int(start_cycle)
-        if not 0 <= start_cycle <= total_cycles:
-            raise ValueError(
-                f"start_cycle {start_cycle} out of range [0, {total_cycles}]"
-            )
-        end_cycle = total_cycles
-        if stop_cycle is not None:
-            end_cycle = check_positive_int(stop_cycle, "stop_cycle")
-            if not start_cycle <= end_cycle <= total_cycles:
-                raise ValueError(
-                    f"stop_cycle {end_cycle} out of range "
-                    f"[{start_cycle}, {total_cycles}]"
-                )
-        if slot_states is not None:
-            if len(slot_states) != len(slots):
-                raise ValueError(
-                    f"{len(slots)} slots but {len(slot_states)} slot states"
-                )
-            for slot, state in zip(slots, slot_states):
-                if state is not None:
-                    self._restore_slot(slot, state)
-
-        # Actor policies defer their end-of-cycle learning to the server's
-        # learn_batch endpoint (and adopt its clock for publication stamps).
-        for slot in slots:
-            bind = getattr(slot.policy, "bind_server", None)
-            if bind is not None:
-                bind(self.server)
-
-        for cycle in range(start_cycle, end_cycle):
-            for slot in slots:
-                slot.policy.begin_cycle(cycle, slot.observed)
-                slot.sensed_mask = np.zeros(n_cells, dtype=bool)
-                slot.selected_order = []
-                slot.assessed_satisfied = False
-                slot.active = True
-
-            while True:
-                active = [slot for slot in slots if slot.active]
-                if not active:
-                    break
-
-                # Phase 1 — selection.  Agent-backed policies go through the
-                # server (their queries stack with every other pending query
-                # against the same agent); other policies select locally.
-                # Slots are independent, so a slot's selection never depends
-                # on another slot's reveal within the round.
-                pending_select: List[Tuple[_CampaignSlot, PendingResult]] = []
-                for slot in active:
-                    query = self._select_query(slot, cycle)
-                    if query is not None:
-                        pending_select.append((slot, query))
-                    else:
-                        self._apply_selection(
-                            slot,
-                            slot.policy.select_cell(
-                                slot.observed, cycle, slot.sensed_mask
-                            ),
-                            ground_truth,
-                            cycle,
-                        )
-                if pending_select:
-                    yield  # resolve the selection batch
-                    for slot, future in pending_select:
-                        cell = self._apply_selection(
-                            slot, future.result(), ground_truth, cycle
-                        )
-                        # Actor policies record the trajectory policy-side:
-                        # report the server-resolved action back so states
-                        # and actions stay aligned in submission order.
-                        notify = getattr(slot.policy, "observe_selection", None)
-                        if notify is not None:
-                            notify(cell)
-
-                # Phase 2 — assessment of every due slot, submitted in slot
-                # order so the server's equivalence grouping and the pooled
-                # assessors' RNG consumption match the direct runner.
-                due = [
-                    slot
-                    for slot in active
-                    if slot.n_selected >= min_cells
-                    and (slot.n_selected - min_cells) % self.config.assess_every == 0
-                ]
-                pending_assess: List[Tuple[_CampaignSlot, PendingResult]] = []
-                for slot in due:
-                    future = self.server.assess_quality(
-                        slot.task.assessor,
-                        slot.task.inference,
-                        slot.observed[:, : cycle + 1],
-                        cycle,
-                        slot.task.requirement,
-                        tenant=slot.tenant,
-                    )
-                    pending_assess.append((slot, future))
-                if pending_assess:
-                    yield  # resolve the assessment batch
-                    for slot, future in pending_assess:
-                        if future.result():
-                            slot.assessed_satisfied = True
-                            slot.active = False
-                for slot in active:
-                    if slot.active and slot.n_selected >= max_cells:
-                        slot.active = False
-
-            # Phase 3 — end-of-cycle inference for the not-fully-sensed slots.
-            start = max(0, cycle + 1 - self.config.history_window)
-            pending_complete: List[Tuple[_CampaignSlot, PendingResult]] = []
-            for slot in slots:
-                if slot.sensed_mask.all():
-                    slot.inferred[:, cycle] = ground_truth[:, cycle]
-                else:
-                    future = self.server.complete_matrix(
-                        slot.task.inference,
-                        slot.observed[:, start : cycle + 1],
-                        tenant=slot.tenant,
-                    )
-                    pending_complete.append((slot, future))
-            if pending_complete:
-                yield  # resolve the completion batch
-                for slot, future in pending_complete:
-                    completed = future.result()
-                    slot.inferred[:, cycle] = completed[:, completed.shape[1] - 1]
-
-            for slot in slots:
-                slot.policy.end_cycle(cycle, slot.observed)
-                slot.result.add_record(
-                    CycleRecord(
-                        cycle=cycle,
-                        selected_cells=tuple(slot.selected_order),
-                        true_error=float(
-                            slot.task.requirement.column_error(
-                                ground_truth[:, cycle],
-                                slot.inferred[:, cycle],
-                                exclude=slot.sensed_mask,
-                            )
-                        ),
-                        assessed_satisfied=slot.assessed_satisfied,
-                    )
-                )
-
-            # Phase 4 — stream the cycle's transitions to the central
-            # learner.  Batches are submitted in slot order and the yield
-            # guarantees they resolve (and, under synchronous publication,
-            # the updated weights are published) before any next-cycle
-            # selection is submitted — matching direct execution's
-            # learn-then-select ordering.
-            pending_learn: List[Tuple[_CampaignSlot, PendingResult]] = []
-            for slot in slots:
-                take = getattr(slot.policy, "take_transition_batch", None)
-                batch = take() if take is not None else None
-                if batch is not None:
-                    future = self.server.learn_batch(
-                        slot.policy.learner, batch, tenant=slot.tenant
-                    )
-                    pending_learn.append((slot, future))
-            if pending_learn:
-                yield  # resolve the learn batch
-                for slot, future in pending_learn:
-                    future.result()
-
-            # Cycle barrier — park until every co-driven runner finishes
-            # this cycle.  Fleets of different cadence therefore enter each
-            # cycle in the same scheduling round, so no server batch mixes
-            # requests from different campaign cycles and the boundary is a
-            # global quiescent point a checkpoint can capture and a resumed
-            # drive reproduces bitwise.  ``run_pending`` does not tick when
-            # nothing is pending, so an already-aligned (or solo) fleet is
-            # unaffected.
-            yield CYCLE_BARRIER
-
-        for slot in slots:
-            slot.result.inferred_matrix = slot.inferred
-        self._results = [slot.result for slot in slots]
-
-    # -- checkpointing -----------------------------------------------------------
+        return self._serve(slots, protocol)
 
     def slot_states(self) -> List[dict]:
         """Per-slot checkpoint payloads (capture at a cycle boundary only).
@@ -401,72 +151,58 @@ class ServedCampaignRunner(BatchedCampaignRunner):
         slots) are captured once per slot with identical content, so the
         idempotent per-slot restore converges to the same shared state.
         """
-        from repro.utils.statedict import encode_array
-
         if self._slots is None:
             raise RuntimeError("no launched fleet; call launch() and drive it first")
-        states: List[dict] = []
-        for slot in self._slots:
-            policy_state = None
-            if hasattr(slot.policy, "state_dict"):
-                policy_state = slot.policy.state_dict()
-            assessor_state = None
-            if hasattr(slot.task.assessor, "state_dict"):
-                assessor_state = slot.task.assessor.state_dict()
-            states.append(
-                {
-                    "tenant": slot.tenant,
-                    "observed": encode_array(slot.observed),
-                    "inferred": encode_array(slot.inferred),
-                    "records": [
-                        {
-                            "cycle": record.cycle,
-                            "selected_cells": list(record.selected_cells),
-                            "true_error": record.true_error,
-                            "assessed_satisfied": record.assessed_satisfied,
-                        }
-                        for record in slot.result.records
-                    ],
-                    "policy": policy_state,
-                    "assessor": assessor_state,
-                }
-            )
-        return states
+        return [slot.state_dict() for slot in self._slots]
 
-    @staticmethod
-    def _restore_slot(slot: _CampaignSlot, state: dict) -> None:
-        """Apply one :meth:`slot_states` entry onto a freshly built slot."""
-        from repro.utils.statedict import decode_array
+    # -- the served driver -------------------------------------------------------
 
-        observed = decode_array(state["observed"])
-        inferred = decode_array(state["inferred"])
-        if observed.shape != slot.observed.shape:
-            raise ValueError(
-                f"checkpointed observed matrix shape {observed.shape} does not "
-                f"match the fleet's {slot.observed.shape} — resume with the "
-                "same scenario and cycle budget it was recorded under"
-            )
-        slot.observed[:, :] = observed
-        slot.inferred[:, :] = inferred
-        slot.result.records = []
-        for record in state["records"]:
-            slot.result.add_record(
-                CycleRecord(
-                    cycle=int(record["cycle"]),
-                    selected_cells=tuple(int(c) for c in record["selected_cells"]),
-                    true_error=float(record["true_error"]),
-                    assessed_satisfied=bool(record["assessed_satisfied"]),
-                )
-            )
-        if state.get("policy") is not None:
-            slot.policy.load_state_dict(state["policy"])
-        if state.get("assessor") is not None:
-            slot.task.assessor.load_state_dict(state["assessor"])
+    def _serve(self, slots: List[_CampaignSlot], protocol) -> Iterator[None]:
+        """Answer the protocol's phases through the server, one yield per phase."""
+        # Actor policies defer their end-of-cycle learning to the server's
+        # learn_batch endpoint (and adopt its clock for publication stamps).
+        for slot in slots:
+            bind = getattr(slot.policy, "bind_server", None)
+            if bind is not None:
+                bind(self.server)
+        endpoints = {
+            "assess": self.server.assess_quality,
+            "complete": self.server.complete_matrix,
+            "learn": self.server.learn_batch,
+        }
+        answer = None
+        while True:
+            try:
+                phase = protocol.send(answer)
+            except StopIteration as done:
+                self._results = done.value
+                return
+            if phase.kind == "barrier":
+                # Park until every co-driven runner finishes this cycle, so
+                # no server batch mixes requests from different cycles and
+                # the boundary is a quiescent point a checkpoint can capture.
+                answer = yield CYCLE_BARRIER
+                continue
+            picks = [
+                self._select(slot, *query)
+                if phase.kind == "select"
+                else endpoints[phase.kind](*query, tenant=slot.tenant)
+                for slot, query in zip(phase.slots, phase.queries)
+            ]
+            if any(isinstance(pick, PendingResult) for pick in picks):
+                yield  # resolve this phase's requests
+            answer = []
+            for slot, pick in zip(phase.slots, picks):
+                if isinstance(pick, PendingResult):
+                    pick = pick.result()
+                    if phase.kind == "select" and hasattr(slot.policy, "observe_selection"):
+                        # Actor policies record the trajectory policy-side:
+                        # report each served action back, in submission order.
+                        slot.policy.observe_selection(pick)
+                answer.append(pick)
 
-    def _select_query(
-        self, slot: _CampaignSlot, cycle: int
-    ) -> Optional[PendingResult]:
-        """Submit a server-side policy query for the slot, if its policy supports it.
+    def _select(self, slot: _CampaignSlot, observed, cycle: int, sensed_mask):
+        """Submit the slot's policy query if it is servable, else select locally.
 
         Plain :class:`~repro.core.drcell.DRCellPolicy` queries are servable,
         and so are :class:`~repro.learner.actor.ActorPolicy` queries — the
@@ -483,27 +219,15 @@ class ServedCampaignRunner(BatchedCampaignRunner):
 
         policy = slot.policy
         if isinstance(policy, ActorPolicy):
-            state, mask = policy.prepare_query(slot.observed, cycle, slot.sensed_mask)
+            state, mask = policy.prepare_query(observed, cycle, sensed_mask)
             return self.server.select_cell(
                 policy.actor, state, mask, greedy=False, tenant=slot.tenant
             )
         if type(policy) is not DRCellPolicy:
-            return None
+            return policy.select_cell(observed, cycle, sensed_mask)
         agent = policy.agent
-        state = agent.state_model.from_observations(
-            slot.observed, cycle, slot.sensed_mask
-        )
-        mask = agent.action_space.mask_from_sensed(slot.sensed_mask)
+        state = agent.state_model.from_observations(observed, cycle, sensed_mask)
+        mask = agent.action_space.mask_from_sensed(sensed_mask)
         return self.server.select_cell(
             agent, state, mask, greedy=policy.greedy, tenant=slot.tenant
         )
-
-    @staticmethod
-    def _apply_selection(
-        slot: _CampaignSlot, cell: int, ground_truth: np.ndarray, cycle: int
-    ) -> int:
-        cell = CellSelectionPolicy._validate_selection(cell, slot.sensed_mask)
-        slot.sensed_mask[cell] = True
-        slot.selected_order.append(cell)
-        slot.observed[cell, cycle] = ground_truth[cell, cycle]
-        return cell

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -378,8 +379,8 @@ class DecisionServer:
             )
         handler = {
             "select": self._handle_select,
-            "assess": self._handle_assess,
-            "complete": self._handle_complete,
+            "assess": partial(self._handle_pooled, "assess"),
+            "complete": partial(self._handle_pooled, "complete"),
             "learn": self._handle_learn,
         }[kind]
         batch_span = None
@@ -421,66 +422,32 @@ class DecisionServer:
             for request, action in zip(group, actions):
                 request.future.set_result(int(action))
 
-    def _handle_assess(self, requests: List[ServeRequest]) -> None:
-        """Answer assessments, one ``assess_many`` per (assessor, inference) class."""
+    def _handle_pooled(self, kind: str, requests: List[ServeRequest]) -> None:
+        """Answer assessments or completions, one pooled call per equivalence class.
+
+        Assessments pool by (assessor, inference) class into one
+        ``assess_many``, completions by inference class into one
+        ``complete_batch`` — the per-class resolution the direct campaign
+        driver uses, through this server's caching inference wrapper.
+        """
         from repro.mcs.campaign import (  # local import: avoids a package cycle
-            _equivalent_assessor,
-            _equivalent_inference,
+            _POOLED,
             _group_by_equivalence,
         )
 
+        same_class, resolve = _POOLED[kind]
         groups = _group_by_equivalence(
-            requests,
-            lambda a, b: _equivalent_assessor(a.payload.assessor, b.payload.assessor)
-            and _equivalent_inference(a.payload.inference, b.payload.inference),
+            requests, lambda a, b: same_class(a.payload, b.payload)
         )
         for group in groups:
-            representative = group[0].payload
+            queries = [request.payload for request in group]
             try:
-                # Per-request RNG partitioning: each slot's subsampling draws
-                # come from its *own* assessor's stream even though one
-                # representative runs the pooled pass, so a campaign's
-                # assessment randomness is independent of who shares its
-                # batch.  Assessors without a public rng fall back to the
-                # representative's stream (pre-partitioning behaviour).
-                verdicts = representative.assessor.assess_many(
-                    [request.payload.observed for request in group],
-                    [request.payload.cycle for request in group],
-                    [request.payload.requirement for request in group],
-                    self._cached(representative.inference),
-                    rngs=[
-                        getattr(request.payload.assessor, "rng", None)
-                        for request in group
-                    ],
-                )
+                answers = resolve(queries, self._cached(queries[0].inference))
             except Exception as error:
                 self._fail_group(group, error)
                 continue
-            for request, verdict in zip(group, verdicts):
-                request.future.set_result(bool(verdict))
-
-    def _handle_complete(self, requests: List[ServeRequest]) -> None:
-        """Answer completions, one ``complete_batch`` per inference class."""
-        from repro.mcs.campaign import (  # local import: avoids a package cycle
-            _equivalent_inference,
-            _group_by_equivalence,
-        )
-
-        groups = _group_by_equivalence(
-            requests,
-            lambda a, b: _equivalent_inference(a.payload.inference, b.payload.inference),
-        )
-        for group in groups:
-            inference = self._cached(group[0].payload.inference)
-            try:
-                completed = inference.complete_batch(
-                    [request.payload.matrix for request in group]
-                )
-            except Exception as error:
-                self._fail_group(group, error)
-                continue
-            for request, matrix in zip(group, completed):
-                request.future.set_result(matrix)
+            for request, answer in zip(group, answers):
+                request.future.set_result(answer)
 
     def _handle_learn(self, requests: List[ServeRequest]) -> None:
         """Feed the central learner(s), one ``ingest`` call per learner.

@@ -369,10 +369,13 @@ class ServerStats:
         }
 
     def rows(self) -> List[Dict[str, object]]:
-        """Per-endpoint rows for tabular reporting (one dict per kind)."""
+        """Per-endpoint rows for tabular reporting (one dict per kind).
+
+        Sorted by kind, so a run restored from a checkpoint prints the same table.
+        """
         return [
-            {"endpoint": kind, **stats.as_dict()}
-            for kind, stats in self.endpoints.items()
+            {"endpoint": kind, **self.endpoints[kind].as_dict()}
+            for kind in sorted(self.endpoints)
         ]
 
     def write_to(self, registry) -> None:

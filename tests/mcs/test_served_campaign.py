@@ -9,7 +9,10 @@ The load-bearing claims:
 * several runners over *different datasets* share one server and finish with
   fused batches (the concurrency the direct runner cannot express);
 * the TINY seed-0 Figure-6 protocol evaluated through ``Session.serve`` is
-  bitwise identical to ``Session.evaluate``.
+  bitwise identical to ``Session.evaluate``;
+* a fleet stopped at any cycle boundary and resumed from a saved
+  checkpoint on a fresh server finishes bitwise like an uninterrupted one;
+* ``launch`` rejects bad arguments itself, before any drive starts.
 """
 
 import numpy as np
@@ -32,6 +35,8 @@ from repro.mcs import (
 from repro.quality.epsilon_p import QualityRequirement
 from repro.quality.loo_bayesian import LeaveOneOutBayesianAssessor
 from repro.serve import DecisionServer, ServeConfig, drive
+from repro.serve.checkpoint import ServerCheckpoint
+from repro.serve.journal import RequestJournal
 
 
 def build_fixture(dataset_seed=0, *, n_cells=8):
@@ -130,6 +135,80 @@ class TestSingleRunnerParity:
             ServedCampaignRunner(task, config, server=object())
 
 
+class TestLaunchValidation:
+    """Bad arguments raise from ``launch()`` itself, not at the first ``next()``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda runner, policies: runner.launch([]),
+            lambda runner, policies: runner.launch(policies, stop_cycle=10**6),
+            lambda runner, policies: runner.launch(policies[:1], tenants=["a", "b"]),
+            lambda runner, policies: runner.launch(policies, start_cycle=-3),
+        ],
+        ids=["no-policies", "stop-beyond-budget", "tenant-count", "negative-start"],
+    )
+    def test_bad_launch_raises_before_a_generator_exists(self, call):
+        task, policies, config = build_fixture()
+        server = DecisionServer()
+        runner = ServedCampaignRunner(task, config, server=server)
+        with pytest.raises(ValueError):
+            call(runner, policies)
+        assert server.pending == 0
+
+    def test_slot_state_count_is_checked_at_launch(self):
+        task, policies, config = build_fixture()
+        runner = ServedCampaignRunner(task, config, server=DecisionServer())
+        with pytest.raises(ValueError, match="slot states"):
+            runner.launch(policies, slot_states=[None])
+
+
+class TestResumeAtEveryCycleBoundary:
+    """Stop at cycle k, checkpoint through disk, resume on a fresh server."""
+
+    N_CYCLES = 6
+
+    @staticmethod
+    def serve_config():
+        return ServeConfig(max_batch=4, max_wait_ticks=1)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self):
+        task, policies, config = build_fixture()
+        server = DecisionServer(self.serve_config())
+        runner = ServedCampaignRunner(task, config, server=server)
+        results = runner.run(policies, n_cycles=self.N_CYCLES)
+        return results, server.stats.deterministic_dict()
+
+    @pytest.mark.parametrize("k", range(1, N_CYCLES))
+    def test_resume_is_bitwise_identical(self, k, uninterrupted, tmp_path):
+        full_results, full_stats = uninterrupted
+
+        task, policies, config = build_fixture()
+        server = DecisionServer(self.serve_config())
+        runner = ServedCampaignRunner(task, config, server=server)
+        drive(server, [runner.launch(policies, n_cycles=self.N_CYCLES, stop_cycle=k)])
+        path = ServerCheckpoint.capture(server, slot_states=runner.slot_states()).save(
+            tmp_path / "fleet.ckpt"
+        )
+        checkpoint = ServerCheckpoint.load(path)
+
+        task2, policies2, config2 = build_fixture()
+        fresh = DecisionServer(self.serve_config())
+        resumed = ServedCampaignRunner(task2, config2, server=fresh)
+        driver = resumed.launch(
+            policies2,
+            n_cycles=self.N_CYCLES,
+            start_cycle=k,
+            slot_states=checkpoint.payload["slot_states"],
+        )
+        checkpoint.restore(fresh)
+        drive(fresh, [driver])
+
+        assert_results_bitwise_equal(full_results, resumed.results)
+        assert fresh.stats.deterministic_dict() == full_stats
+
+
 class TestConcurrentRunners:
     def test_cross_dataset_fleets_share_one_server(self):
         temperature = generate_sensorscope(
@@ -220,6 +299,15 @@ class TestFigure6TinyParity:
         # The DR-Cell slot's policy queries went through the server.
         assert stats.endpoint("select").requests > 0
         assert stats.endpoint("assess").requests > 0
+
+    def test_bad_serve_arguments_journal_nothing(self, sessions):
+        # Every fleet is launched, hence validated, before the header is
+        # recorded: a stop beyond the cycle budget leaves the journal empty.
+        _, served_session = sessions
+        journal = RequestJournal()
+        with pytest.raises(ValueError, match="stop_cycle"):
+            served_session.serve(journal=journal, n_cycles=3, checkpoint_after=50)
+        assert len(journal.events) == 0
 
     def test_replicas_report_suffixed_rows(self, sessions):
         _, served_session = sessions
